@@ -126,7 +126,10 @@ class ProblemFile:
     def context(self):
         if self.two_rep is None:
             raise InputError("this command needs a two_rep section")
-        return LatticeContext(self.xmod, self.two_rep)
+        try:
+            return LatticeContext(self.xmod, self.two_rep)
+        except ValueError as exc:
+            raise InputError(str(exc))
 
 
 def load_problem(path):

@@ -7,7 +7,7 @@ from .numeric import (Matrix, Q0, Q1, rank, rank_and_kernel, solve_linear,
 from .liealg import LieAlgebra, Representation, _unit
 from .lie2 import CrossedModuleAlg, validate_crossed_module
 from .tworep import TwoRep, validate_two_rep
-from .lattice import LatticeContext, LatticeCochain, trivial_total_complex
+from .lattice import LatticeContext, LatticeCochain, trivial_context
 
 # names of the cocycle equations, keyed by the lattice block where each
 # component of nabla(omega0, alpha, phimap, omega1, 0, 0) must vanish
@@ -333,8 +333,7 @@ def cocycle_from_extension(e, sigma0, sigma1, base_x=None):
     ctx = LatticeContext(x, rep)
 
     om0 = []
-    from .numeric import increasing_tuples as inc
-    for (a, b) in inc(dh, 2):
+    for (a, b) in increasing_tuples(dh, 2):
         ya, yb = _unit(dh, a), _unit(dh, b)
         val = [p - q for p, q in zip(
             sigma0.apply(x.h.bracket(ya, yb)),
@@ -501,40 +500,19 @@ def cocycle_slice_class_count(ctx):
 
 def trivial_cocycle_defects(x, omega_vals, phi_vals):
     """The three cocycle conditions on (omega, phi) in Omega^2_tot(g_1):
-    returns a dict of condition name -> defect vector (empty if holding)."""
-    from .lattice import trivial_total_dim, _trivial_blocks, trivial_space_dim
-    n2 = trivial_total_dim(x, 2)
-    blocks = _trivial_blocks(x, 2)
-    vec = [Q0] * n2
-    pos = 0
-    sizes = {}
-    for b in blocks:
-        sizes[b] = trivial_space_dim(x, *b)
-        pos += sizes[b]
-    offs = {}
-    pos = 0
-    for b in blocks:
-        offs[b] = pos
-        pos += sizes[b]
-    assert len(omega_vals) == sizes.get((0, 2), 0)
-    assert len(phi_vals) == sizes.get((1, 1), 0)
-    for i, v in enumerate(omega_vals):
-        vec[offs[(0, 2)] + i] = v
-    for i, v in enumerate(phi_vals):
-        vec[offs[(1, 1)] + i] = v
-    out = trivial_total_complex(x, 2).apply(vec)
-    blocks3 = _trivial_blocks(x, 3)
-    offs3 = {}
-    pos = 0
-    for b in blocks3:
-        offs3[b] = pos
-        pos += trivial_space_dim(x, *b)
-    names = {(0, 3): "delta_omega", (1, 2): "partial_omega_plus_delta_phi",
-             (2, 1): "partial_phi"}
+    returns a dict of condition name -> defect vector (empty if holding).
+    The unit lattice's C^2 is (0,2,0) + (1,1,0) + (2,0,0), and its nabla_2
+    applies as it is with the vector zero on the q = 0 block."""
+    ctx = trivial_context(x)
+    assert len(omega_vals) == ctx.cochain_dim(0, 2, 0)
+    assert len(phi_vals) == ctx.cochain_dim(1, 1, 0)
+    out = ctx.nabla(2).apply(list(omega_vals) + list(phi_vals) + [Q0])
+    names = {(0, 3, 0): "delta_omega",
+             (1, 2, 0): "partial_omega_plus_delta_phi",
+             (2, 1, 0): "partial_phi"}
     defects = {}
-    for b in blocks3:
-        size = trivial_space_dim(x, *b)
-        piece = out[offs3[b]:offs3[b] + size]
+    for b, base in ctx.block_offsets(3)[0].items():
+        piece = out[base:base + ctx.cochain_dim(*b)]
         if any(c != 0 for c in piece):
             defects[names[b]] = piece
     return defects

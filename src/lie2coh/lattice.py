@@ -23,16 +23,24 @@ delta_r / delta_one / partial follow the total-complex grading; the signs
 on the difference maps are calibrated so that nabla^2 = 0 holds as an
 exact matrix identity (the guarded invariant), and frozen in
 DIFFERENCE_SIGNS below with a regression test.
+
+Trivial coefficients are no separate complex: they are the unit
+2-representation (W = 0, V = Q, every action zero) restricted to its
+q >= 1 blocks, which form a subcomplex because nabla never lowers q.  The
+q = 0 row Q -0-> Q -1-> Q -0-> ... is acyclic above degree 0 and its H^0,
+the constants, consists of cocycles of the whole lattice, so for n >= 1
+the restriction and the full unit lattice have the same H^n.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from .numeric import (Matrix, Q0, Q1, rank, rank_and_kernel, solve_linear,
-                      vectors_matrix, in_span, increasing_tuples)
-from .liealg import Representation, _unit, _sort_sign
-from .lie2 import nerve_algebra, face_matrix, final_target_matrix
-from .tworep import validate_two_rep, bar_rho
+from .numeric import (Matrix, Q0, Q1, rank, rank_and_kernel, vectors_matrix,
+                      increasing_tuples, _echelon)
+from .liealg import _unit, _sort_sign
+from .lie2 import (TwoVectorSpace, nerve_algebra, face_matrix,
+                   final_target_matrix)
+from .tworep import TwoRep, validate_two_rep, bar_rho
 
 # Sign of Delta_k on C^{p,q}_r inside the total differential.  Calibrated
 # against nabla^2 = 0 as an exact matrix identity (the one free parameter
@@ -102,9 +110,13 @@ class LatticeContext:
     """All lattice computations for a fixed (crossed module, 2-rep) pair."""
 
     def __init__(self, x, rep, check_degree=None):
-        assert rep.source == x
+        if rep.source != x:
+            raise ValueError("the 2-representation is over another "
+                             "crossed module")
         bad = validate_two_rep(rep)
-        assert not bad, "invalid 2-representation: %s" % (bad,)
+        if bad:
+            raise ValueError("invalid 2-representation: violated %s"
+                             % sorted(set(b[0] for b in bad)))
         self.x = x
         self.rep = rep
         self.dg = x.g.dim
@@ -123,7 +135,9 @@ class LatticeContext:
         if check_degree is not None:
             for n in range(check_degree + 1):
                 bad = self.nabla_squared_blocks(n)
-                assert not bad, "nabla^2 != 0 at degree %d: %s" % (n, bad)
+                if bad:
+                    raise ValueError("nabla^2 != 0 at degree %d: nonzero "
+                                     "blocks %s" % (n, bad))
 
     # -- structural caches -------------------------------------------------
 
@@ -155,9 +169,6 @@ class LatticeContext:
 
     def cochain_dim(self, p, q, r):
         return self.space(p, q, r).total_dim
-
-    def _tp_of_basis(self, p, i):
-        return self.target(p).col(i)
 
     # -- component differentials -------------------------------------------
 
@@ -220,7 +231,7 @@ class LatticeContext:
             units_J = [_usp(j) for j in J]
             for jpos in range(q + 1):
                 rest = [_usp(i) for t, i in enumerate(I) if t != jpos]
-                y = self._tp_of_basis(p, I[jpos])
+                y = self.target(p).col(I[jpos])
                 sign = -Q1 if jpos % 2 else Q1
                 if r == 0:
                     yield (sign, self.rep.rho0_v.act(y), rest, [])
@@ -383,28 +394,19 @@ class LatticeContext:
         return bad
 
     def total_cohomology(self, n):
-        """(dim H^n, representative cocycle vectors)."""
+        """(dim H^n, representative cocycle vectors).
+
+        One echelon of the columns [im nabla_{n-1} | ker nabla_n]: its
+        pivot columns among the kernel vectors are the representatives,
+        the kernel vectors (in kernel order) independent of the image and
+        of the ones before them."""
         assert n >= 0
         dn = self.nabla(n)
-        if n == 0:
-            prev_cols = []
-        else:
-            dprev = self.nabla(n - 1)
-            prev_cols = [dprev.col(j) for j in range(dprev.cols)]
+        image = self.nabla(n - 1).columns() if n else []
         _, kernel = rank_and_kernel(dn)
-        dim_ker = len(kernel)
-        img_rank = rank(vectors_matrix(prev_cols, dim=dn.cols)) \
-            if prev_cols else 0
-        dim_h = dim_ker - img_rank
-        reps = []
-        chosen = [c for c in prev_cols]
-        for v in kernel:
-            if len(reps) == dim_h:
-                break
-            if not in_span(chosen, v):
-                chosen.append(v)
-                reps.append(v)
-        return dim_h, reps
+        _, pivots = _echelon(vectors_matrix(image + kernel, dim=dn.cols))
+        reps = [kernel[c - len(image)] for c in pivots if c >= len(image)]
+        return len(reps), reps
 
     # -- low-degree interpretations ------------------------------------------
 
@@ -517,11 +519,6 @@ class LatticeCochain:
                        for v in values]
         self.space = space
 
-    @staticmethod
-    def zero(ctx, p, q, r):
-        return LatticeCochain(ctx, p, q, r,
-                              [Q0] * ctx.cochain_dim(p, q, r))
-
     def evaluate(self, xi_vectors, z_vectors):
         """Alternating multilinear evaluation; returns a coefficient list."""
         p, q, r = self.index
@@ -541,87 +538,29 @@ class LatticeCochain:
 
 
 # ---------------------------------------------------------------------------
-# Trivial-coefficient double complex (rows q >= 1 only).
+# Trivial coefficients: the unit 2-representation, rows q >= 1.
 # ---------------------------------------------------------------------------
 
-def _trivial_blocks(x, n):
-    return [(p, n - p) for p in range(n) if n - p >= 1]
-
-
-def trivial_space_dim(x, p, q):
-    from math import comb
-    return comb(p * x.g.dim + x.h.dim, q)
-
-
-def trivial_total_dim(x, n):
-    return sum(trivial_space_dim(x, p, q) for p, q in _trivial_blocks(x, n))
+def trivial_context(x):
+    """The lattice of x with values in the unit 2-representation."""
+    return LatticeContext(x, TwoRep.trivial(
+        x, TwoVectorSpace(0, 1, Matrix.zero(1, 0))))
 
 
 def trivial_total_complex(x, n):
     """Differential Omega^n_tot -> Omega^{n+1}_tot of the trivial
-    2-cohomology double complex, d = delta + (-1)^q partial."""
-    src_blocks = _trivial_blocks(x, n)
-    tgt_blocks = _trivial_blocks(x, n + 1)
-    src_offs = {}
-    pos = 0
-    for b in src_blocks:
-        src_offs[b] = pos
-        pos += trivial_space_dim(x, *b)
-    src_dim = pos
-    tgt_offs = {}
-    pos = 0
-    for b in tgt_blocks:
-        tgt_offs[b] = pos
-        pos += trivial_space_dim(x, *b)
-    tgt_dim = pos
-    out = Matrix.zero(tgt_dim, src_dim)
-
-    for (p, q) in src_blocks:
-        gp = nerve_algebra(x, p).underlying
-        src_tuples = increasing_tuples(gp.dim, q)
-        src_pos = {t: i for i, t in enumerate(src_tuples)}
-        # delta: trivial-coefficient CE differential of g_p
-        if (p, q + 1) in tgt_offs:
-            tgt_tuples = increasing_tuples(gp.dim, q + 1)
-            r0 = tgt_offs[(p, q + 1)]
-            c0 = src_offs[(p, q)]
-            for ti, tup in enumerate(tgt_tuples):
-                for m in range(q + 1):
-                    for nn in range(m + 1, q + 1):
-                        br = gp.basis_bracket(tup[m], tup[nn])
-                        rest = tuple(tup[t] for t in range(q + 1)
-                                     if t not in (m, nn))
-                        sign = -Q1 if (m + nn) % 2 else Q1
-                        for idx, cval in enumerate(br):
-                            if cval == 0:
-                                continue
-                            s, srt = _sort_sign((idx,) + rest)
-                            if s == 0:
-                                continue
-                            out.data[r0 + ti][c0 + src_pos[srt]] \
-                                += sign * cval * s
-        # (-1)^q partial: faces of g_{p+1}
-        if (p + 1, q) in tgt_offs:
-            faces = [face_matrix(x, p, k) for k in range(p + 2)]
-            tgt_tuples = increasing_tuples(p * x.g.dim + x.g.dim + x.h.dim, q)
-            r0 = tgt_offs[(p + 1, q)]
-            c0 = src_offs[(p, q)]
-            outer = -Q1 if q % 2 else Q1
-            for ti, tup in enumerate(tgt_tuples):
-                for k, face in enumerate(faces):
-                    sign = outer * (-Q1 if k % 2 else Q1)
-                    args = [_sparse_column(face, i) for i in tup]
-                    for c, srt in _expand(args):
-                        col = src_pos.get(srt)
-                        if col is not None:
-                            out.data[r0 + ti][c0 + col] += sign * c
-    return out
+    2-cohomology double complex, d = delta + (-1)^q partial: the unit
+    lattice's nabla_n on its q >= 1 blocks.  These precede the one q = 0
+    block (n, 0, 0) in the block order, so they form the leading
+    submatrix."""
+    ctx = trivial_context(x)
+    rows = ctx.block_offsets(n + 1)[0][(n + 1, 0, 0)]
+    cols = ctx.block_offsets(n)[0][(n, 0, 0)]
+    return Matrix(rows, cols,
+                  [row[:cols] for row in ctx.nabla(n).data[:rows]])
 
 
 def trivial_cohomology_dim(x, n):
-    dn = trivial_total_complex(x, n)
-    dim_n = trivial_total_dim(x, n)
-    ker_dim = dim_n - rank(dn)
-    if n == 0:
-        return ker_dim
-    return ker_dim - rank(trivial_total_complex(x, n - 1))
+    """dim H^n of the trivial-coefficient double complex (0 at n = 0,
+    where it has no cochains; the unit lattice's H^n above)."""
+    return trivial_context(x).total_cohomology(n)[0] if n else 0

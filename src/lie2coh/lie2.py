@@ -4,7 +4,8 @@
 from .numeric import (Matrix, Q0, Q1, rank_and_kernel, solve_linear,
                       vectors_matrix, in_span)
 from .liealg import (LieAlgebra, Representation, validate_lie_algebra,
-                     validate_representation, _unit)
+                     validate_representation, sparse_columns, apply_into,
+                     _unit)
 
 
 class TwoVectorSpace:
@@ -68,31 +69,32 @@ def validate_crossed_module(x):
     for (i, j) in validate_representation(x.action):
         bad.append(("action_homomorphism", (i, j)))
     dg, dh = x.g.dim, x.h.dim
+    act = [sparse_columns(m) for m in x.action.mats]
+    mu = sparse_columns(x.mu)
     for b in range(dh):
-        lb = x.action.mats[b]
-        eb = _unit(dh, b)
+        lb = act[b]
         for i in range(dg):
-            ei = _unit(dg, i)
             for j in range(i + 1, dg):
-                ej = _unit(dg, j)
-                lhs = lb.apply(x.g.bracket(ei, ej))
-                rhs = [p + q for p, q in
-                       zip(x.g.bracket(lb.apply(ei), ej),
-                           x.g.bracket(ei, lb.apply(ej)))]
-                if lhs != rhs:
+                # L_b [e_i, e_j] - [L_b e_i, e_j] - [e_i, L_b e_j]
+                acc = apply_into({}, lb, x.g._sparse.get((i, j), ()))
+                x.g.bracket_into(lb[i], [(j, 1)], acc, -1)
+                x.g.bracket_into([(i, 1)], lb[j], acc, -1)
+                if any(acc.values()):
                     bad.append(("derivation", (b, i, j)))
         for i in range(dg):
-            lhs = x.mu.apply(lb.apply(_unit(dg, i)))
-            rhs = x.h.bracket(eb, x.mu.apply(_unit(dg, i)))
-            if lhs != rhs:
+            # mu(L_b e_i) - [e_b, mu e_i]
+            acc = apply_into({}, mu, lb[i])
+            x.h.bracket_into([(b, 1)], mu[i], acc, -1)
+            if any(acc.values()):
                 bad.append(("equivariance", (b, i)))
     for i in range(dg):
-        mu_ei = x.mu.apply(_unit(dg, i))
-        act_mu = x.action.act(mu_ei)
         for j in range(dg):
-            lhs = act_mu.apply(_unit(dg, j))
-            rhs = x.g.bracket(_unit(dg, i), _unit(dg, j))
-            if lhs != rhs:
+            # L_{mu e_i} e_j - [e_i, e_j]
+            acc = {}
+            for k, c in mu[i]:
+                apply_into(acc, act[k], [(j, c)])
+            x.g.bracket_into([(i, 1)], [(j, 1)], acc, -1)
+            if any(acc.values()):
                 bad.append(("peiffer", (i, j)))
     return bad
 

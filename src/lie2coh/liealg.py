@@ -82,6 +82,18 @@ class LieAlgebra:
                     out[k] += coeff * c
         return out
 
+    def bracket_into(self, u, v, out, scale=1):
+        """out += scale * [u, v]; u, v are lists of (index, coefficient)."""
+        sparse = self._sparse
+        for i, cu in u:
+            for j, cv in v:
+                vec = sparse.get((i, j) if i < j else (j, i)) if i != j else None
+                if vec is not None:
+                    coeff = scale * cu * cv if i < j else -scale * cu * cv
+                    for k, c in vec:
+                        out[k] = out.get(k, 0) + coeff * c
+        return out
+
     def ad(self, u):
         """Matrix of ad_u = [u, -]."""
         cols = [self.bracket(u, _unit(self.dim, j)) for j in range(self.dim)]
@@ -122,20 +134,37 @@ def _invert(m):
 
 def validate_lie_algebra(g):
     """List of Jacobi violations (i, j, k, defect vector); empty means valid."""
+    basis = {(a, b): list(g.bracket_into([(a, 1)], [(b, 1)], {}).items())
+             for a in range(g.dim) for b in range(g.dim)}
     bad = []
     for i in range(g.dim):
-        ei = _unit(g.dim, i)
         for j in range(i + 1, g.dim):
-            ej = _unit(g.dim, j)
             for k in range(j + 1, g.dim):
-                ek = _unit(g.dim, k)
-                d = [a + b + c for a, b, c in
-                     zip(g.bracket(g.bracket(ei, ej), ek),
-                         g.bracket(g.bracket(ej, ek), ei),
-                         g.bracket(g.bracket(ek, ei), ej))]
-                if any(x != 0 for x in d):
-                    bad.append((i, j, k, d))
+                d = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    g.bracket_into(basis[a, b], [(c, 1)], d)
+                if any(d.values()):
+                    bad.append((i, j, k, [d.get(t, 0) for t in range(g.dim)]))
     return bad
+
+
+def sparse_columns(m):
+    """Columns of m as lists of (row, entry) over the nonzero entries;
+    integral entries become ints, which multiply much faster."""
+    cols = [[] for _ in range(m.cols)]
+    for r, row in enumerate(m.data):
+        for c, x in enumerate(row):
+            if x:
+                cols[c].append((r, x.numerator if x.denominator == 1 else x))
+    return cols
+
+
+def apply_into(out, cols, vec, scale=1):
+    """out += scale * M vec, for M as sparse_columns and a sparse vec."""
+    for k, y in vec:
+        for r, x in cols[k]:
+            out[r] = out.get(r, 0) + scale * x * y
+    return out
 
 
 class Representation:
@@ -173,13 +202,19 @@ class Representation:
 def validate_representation(rep):
     """Pairs (i, j) where rho([e_i, e_j]) != [rho(e_i), rho(e_j)]."""
     g = rep.algebra
+    cols = [sparse_columns(m) for m in rep.mats]
     bad = []
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            lhs = rep.act(g.basis_bracket(i, j))
-            rhs = rep.mats[i] * rep.mats[j] - rep.mats[j] * rep.mats[i]
-            if not (lhs - rhs).is_zero():
-                bad.append((i, j))
+            for col in range(rep.space_dim):
+                acc = {}
+                for k, c in g._sparse.get((i, j), ()):
+                    apply_into(acc, cols[k], [(col, c)])
+                apply_into(acc, cols[i], cols[j][col], -1)
+                apply_into(acc, cols[j], cols[i][col])
+                if any(acc.values()):
+                    bad.append((i, j))
+                    break
     return bad
 
 

@@ -64,12 +64,6 @@ class Matrix:
         return m
 
     @staticmethod
-    def from_rows(rows):
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        return Matrix(r, c, rows)
-
-    @staticmethod
     def column(vec):
         return Matrix(len(vec), 1, [[x] for x in vec])
 
@@ -326,20 +320,6 @@ def in_span(vecs, target):
 # ---------------------------------------------------------------------------
 # Jets: truncated multivariate Taylor values over floats.
 # ---------------------------------------------------------------------------
-
-def _monomials(num_vars, order):
-    out = []
-
-    def rec(prefix, remaining, budget):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for d in range(budget + 1):
-            rec(prefix + [d], remaining - 1, budget - d)
-
-    rec([], num_vars, order)
-    return out
-
 
 class Jet:
     """Truncated Taylor expansion in up to 4 variables, order up to 3.

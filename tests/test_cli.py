@@ -59,6 +59,20 @@ def test_validate_broken_two_rep(tmp_path, capsys):
     assert "CHECK two_rep: FAIL" in out
 
 
+def test_invalid_two_rep_exit_two(tmp_path, capsys):
+    """Commands that build the lattice refuse an invalid 2-representation
+    as an input error, naming the violated identities."""
+    raw = json.load(open(ADJOINT))
+    raw["two_rep"]["rho0_V"][0][0][0] = "7"
+    path = tmp_path / "badrho.json"
+    path.write_text(json.dumps(raw))
+    for argv in (["cohomology", str(path), "--degree", "1"],
+                 ["nabla-check", str(path)]):
+        code, _, err = run(capsys, argv)
+        assert code == 2, argv
+        assert "rho0_v_homomorphism" in err
+
+
 def test_parse_error_exit_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{ not json")

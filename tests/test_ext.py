@@ -290,7 +290,7 @@ def test_trivial_coeff_rejects_and_reports():
 def test_trivial_coeff_cohomologous_isomorphic():
     """(omega, phi) and (omega, phi) + d psi give extensions intertwined
     by (y, t) -> (y, t + psi(y))."""
-    from lie2coh.lattice import trivial_total_complex, trivial_space_dim
+    from lie2coh.lattice import trivial_total_complex, trivial_context
     from lie2coh.lie2 import xmod_from_quadruple
     h = LieAlgebra.aff1()
     cases = [
@@ -301,7 +301,7 @@ def test_trivial_coeff_cohomologous_isomorphic():
     for x in cases:
         psi = [Q1, Fraction(2)]                   # an element of h*
         d_psi = trivial_total_complex(x, 1).apply(psi)
-        n_omega = trivial_space_dim(x, 0, 2)
+        n_omega = trivial_context(x).cochain_dim(0, 2, 0)
         base_omega = [Q0] * n_omega
         base_phi = [Q0] * (x.g.dim + x.h.dim)
         shifted_omega = [d_psi[i] for i in range(n_omega)]
@@ -324,22 +324,21 @@ def test_trivial_coeff_cohomologous_isomorphic():
 def test_mu_phi_consumes_exactly_trivial_cocycles():
     """Every d-closed degree-2 element of the trivial total complex is
     accepted; every non-closed one is rejected with named conditions."""
-    from lie2coh.lattice import trivial_total_complex, trivial_total_dim, \
-        trivial_space_dim
+    from lie2coh.lattice import trivial_total_complex, trivial_context
     from lie2coh.numeric import rank_and_kernel
     from lie2coh.lie2 import xmod_from_quadruple
     h = LieAlgebra.aff1()
     x = xmod_from_quadruple(h, [1], 0, Representation.trivial(h, 0))
     d2 = trivial_total_complex(x, 2)
     _, kernel = rank_and_kernel(d2)
-    n_omega = trivial_space_dim(x, 0, 2)
+    n_omega = trivial_context(x).cochain_dim(0, 2, 0)
     for vec in kernel:
         out = trivial_coeff_extension(x, vec[:n_omega], vec[n_omega:])
         assert validate_crossed_module(out) == []
     rng = rng_from_seed(17)
     rejected = 0
     for _ in range(10):
-        vec = [Q0 + rng.randint(-2, 2) for _ in range(trivial_total_dim(x, 2))]
+        vec = [Q0 + rng.randint(-2, 2) for _ in range(d2.cols)]
         if any(c != 0 for c in d2.apply(vec)):
             try:
                 trivial_coeff_extension(x, vec[:n_omega], vec[n_omega:])

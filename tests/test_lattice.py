@@ -1,15 +1,18 @@
 """The triple lattice: dimensions, component differentials, the calibrated
 total differential, cohomology, and low-degree interpretations."""
 
+import os
 from math import comb
 
-from lie2coh.numeric import Matrix, Q0, Q1
-from lie2coh.liealg import LieAlgebra, Representation, _unit
+from lie2coh.numeric import (Matrix, Q0, Q1, rank, rank_and_kernel,
+                             vectors_matrix, in_span)
+from lie2coh.liealg import LieAlgebra, Representation, _unit, ce_differential
 from lie2coh.lie2 import CrossedModuleAlg, TwoVectorSpace
 from lie2coh.tworep import TwoRep, adjoint_rep
 from lie2coh.lattice import (LatticeContext, LatticeCochain, _delta_sign,
-                             trivial_total_complex, trivial_total_dim,
-                             trivial_cohomology_dim)
+                             trivial_total_complex, trivial_cohomology_dim)
+from lie2coh.homalg import FinComplex
+from lie2coh.cli import load_problem
 from lie2coh.samples import rng_from_seed, random_context, \
     random_crossed_module
 
@@ -294,6 +297,38 @@ def test_trivial_h2_dimensions():
         assert trivial_cohomology_dim(x, 2) == expect
 
 
+def test_trivial_cohomology_against_ce():
+    """g = 0: the trivial-coefficient H^n is the Chevalley-Eilenberg
+    H^n(h; Q), computed without the lattice."""
+    cases = ((LieAlgebra.abelian(2), [2, 1, 0]),
+             (LieAlgebra.abelian(3), [3, 3, 1]),
+             (LieAlgebra.aff1(), [1, 0, 0]),
+             (LieAlgebra.heisenberg3(), [2, 2, 1]),
+             (LieAlgebra.sl2(), [0, 0, 1]))
+    for h, expect in cases:
+        x = CrossedModuleAlg(LieAlgebra.abelian(0), h,
+                             Matrix.zero(h.dim, 0),
+                             Representation.trivial(h, 0))
+        rep = Representation.trivial(h, 1)
+        ce = FinComplex(0, h.dim,
+                        {q: comb(h.dim, q) for q in range(h.dim + 1)},
+                        {q: ce_differential(rep, q) for q in range(h.dim)})
+        got = [trivial_cohomology_dim(x, n) for n in range(1, 4)]
+        assert got == [ce.cohomology_dim(n) for n in range(1, 4)] == expect
+
+
+def test_trivial_cohomology_against_fincomplex():
+    rng = rng_from_seed(24)
+    for _ in range(10):
+        x = random_crossed_module(rng, 2)
+        diffs = {n: trivial_total_complex(x, n) for n in range(4)}
+        dims = {n: d.cols for n, d in diffs.items()}
+        dims[4] = diffs[3].rows
+        complex_ = FinComplex(0, 4, dims, diffs)
+        for n in range(4):
+            assert trivial_cohomology_dim(x, n) == complex_.cohomology_dim(n)
+
+
 def test_nabla_collapses_for_trivial_everything():
     """For trivial rho, g = 0 and abelian h every component differential
     vanishes except the alternating-identity simplicial maps, and the
@@ -539,3 +574,45 @@ def test_total_cohomology_against_fincomplex():
         complex_ = FinComplex(0, hi, dims, diffs)
         for n in range(hi):
             assert complex_.cohomology_dim(n) == ctx.total_cohomology(n)[0]
+
+
+def _greedy_representatives(ctx, n):
+    """Reference: dim H^n = dim ker - rank im, then the kernel vectors
+    outside the span of the image and of the ones kept before them."""
+    dn = ctx.nabla(n)
+    image = ctx.nabla(n - 1).columns() if n else []
+    _, kernel = rank_and_kernel(dn)
+    dim_h = len(kernel) - (rank(vectors_matrix(image, dim=dn.cols))
+                           if image else 0)
+    chosen, reps = list(image), []
+    for v in kernel:
+        if len(reps) == dim_h:
+            break
+        if not in_span(chosen, v):
+            chosen.append(v)
+            reps.append(v)
+    return dim_h, reps
+
+
+def test_total_cohomology_representatives_match_greedy():
+    rng = rng_from_seed(42)
+    cases = [(LatticeContext(*random_context(rng, 2)), range(3))
+             for _ in range(8)]
+    adjoint = os.path.join(os.path.dirname(__file__), "fixtures",
+                           "adjoint_aff1.json")
+    cases.append((load_problem(adjoint).context(), range(4)))
+    # g = 0, h = Heisenberg, V = adjoint: here the representatives are not
+    # the leading kernel vectors
+    h = LieAlgebra.heisenberg3()
+    x = CrossedModuleAlg(LieAlgebra.abelian(0), h, Matrix.zero(3, 0),
+                         Representation.trivial(h, 0))
+    rep = TwoRep(x, TwoVectorSpace(0, 3, Matrix.zero(3, 0)), [],
+                 Representation.trivial(h, 0), Representation.adjoint(h))
+    cases.append((LatticeContext(x, rep), range(3)))
+    for ctx, degrees in cases:
+        for n in degrees:
+            dim, reps = ctx.total_cohomology(n)
+            assert (dim, reps) == _greedy_representatives(ctx, n)
+            nab = ctx.nabla(n)
+            for v in reps:
+                assert all(c == 0 for c in nab.apply(v))

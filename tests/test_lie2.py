@@ -61,6 +61,26 @@ def test_peiffer_violation_flagged():
     assert "peiffer" in names
 
 
+def test_violation_witnesses_exact():
+    aff, ab1 = LieAlgebra.aff1(), LieAlgebra.abelian(1)
+    # rho([e0, e1]) = rho(e1) = 1 but [rho(e0), rho(e1)] = 0
+    x = CrossedModuleAlg(ab1, aff, Matrix.zero(2, 1),
+                         Representation(aff, 1, [Matrix(1, 1, [[1]])] * 2))
+    assert validate_crossed_module(x) == [("action_homomorphism", (0, 1))]
+    # L = diag(1, 0, 0) on the Heisenberg algebra is no derivation, and
+    # mu = 0 breaks Peiffer on the nonzero bracket
+    heis = LieAlgebra.heisenberg3()
+    x = CrossedModuleAlg(heis, ab1, Matrix.zero(1, 3), Representation(
+        ab1, 3, [Matrix(3, 3, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])]))
+    assert validate_crossed_module(x) == [("derivation", (0, 0, 1)),
+                                          ("peiffer", (0, 1)),
+                                          ("peiffer", (1, 0))]
+    # mu(L_{e0} e0) = 0 but [e0, mu e0] = [e0, e1] = e1
+    x = CrossedModuleAlg(ab1, aff, Matrix(2, 1, [[0], [1]]),
+                         Representation.trivial(aff, 1))
+    assert validate_crossed_module(x) == [("equivariance", (0, 0))]
+
+
 def test_arrows_of_trivial_g_is_h():
     h = LieAlgebra.sl2()
     arrows = lie2_arrows(trivial_g_xmod(h))
