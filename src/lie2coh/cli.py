@@ -7,6 +7,7 @@ error.  Reports use the stable line grammar ``CHECK <name>: PASS|FAIL
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -126,10 +127,18 @@ class ProblemFile:
     def context(self):
         if self.two_rep is None:
             raise InputError("this command needs a two_rep section")
-        try:
+        with _refusal_as_input_error():
             return LatticeContext(self.xmod, self.two_rep)
-        except ValueError as exc:
-            raise InputError(str(exc))
+
+
+@contextlib.contextmanager
+def _refusal_as_input_error():
+    """The lattice refuses invalid structures and oversized matrices with
+    ValueError; on the command line those are input errors (exit 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InputError(str(exc))
 
 
 def load_problem(path):
@@ -203,18 +212,20 @@ def cmd_cohomology(args):
     if args.trivial:
         if pf.xmod is None:
             raise InputError("--trivial needs a lie2algebra section")
-        dim = trivial_cohomology_dim(pf.xmod, args.degree)
+        with _refusal_as_input_error():
+            dim = trivial_cohomology_dim(pf.xmod, args.degree)
         print("H^%d_tot(trivial coefficients) = %d" % (args.degree, dim))
         _check(report, "trivial_cohomology_computed", True, "dim %d" % dim)
         return _emit(report)
     ctx = pf.context()
     bad_blocks = []
-    for n in range(args.degree + 1):
-        bad_blocks.extend(ctx.nabla_squared_blocks(n))
+    with _refusal_as_input_error():
+        for n in range(args.degree + 1):
+            bad_blocks.extend(ctx.nabla_squared_blocks(n))
+        dim, _ = ctx.total_cohomology(args.degree)
     _check(report, "nabla_squared_precheck", not bad_blocks,
            "degrees 0..%d" % args.degree if not bad_blocks
            else "nonzero blocks %s" % (bad_blocks,))
-    dim, _ = ctx.total_cohomology(args.degree)
     print("H^%d = %d" % (args.degree, dim))
     if args.degree == 0:
         inv = ctx.h0_invariants()
@@ -246,7 +257,8 @@ def cmd_nabla_check(args):
     if pf.two_rep is not None:
         ctx = pf.context()
         for n in range(max_degree + 1):
-            bad = ctx.nabla_squared_blocks(n)
+            with _refusal_as_input_error():
+                bad = ctx.nabla_squared_blocks(n)
             _check(report, "nabla_squared_file_degree_%d" % n, not bad,
                    "" if not bad else "nonzero blocks %s" % (bad,))
     rng = rng_from_seed(seed)

@@ -35,11 +35,12 @@ the restriction and the full unit lattice have the same H^n.
 from fractions import Fraction
 from itertools import combinations
 
-from .numeric import (Matrix, Q0, Q1, rank, rank_and_kernel, vectors_matrix,
-                      increasing_tuples, _echelon)
+from .numeric import (Matrix, Q0, rank, rank_and_kernel, vectors_matrix,
+                      increasing_tuples, _demote, _echelon,
+                      _sparse_rows)
 from .liealg import _unit, _sort_sign
 from .lie2 import (TwoVectorSpace, nerve_algebra, face_matrix,
-                   final_target_matrix)
+                   final_target_matrix, validate_crossed_module)
 from .tworep import TwoRep, validate_two_rep, bar_rho
 
 # Sign of Delta_k on C^{p,q}_r inside the total differential.  Calibrated
@@ -47,7 +48,13 @@ from .tworep import TwoRep, validate_two_rep, bar_rho
 # of the construction); the regression tests re-derive this table.
 # k = 1: (-1)^r, k = 2: (-1)^(q+r+1), k = 3: (-1)^(r+1), k = 4: (-1)^(q+r).
 def _delta_sign(k, q, r):
-    return -Q1 if ((k - 1) * q + r + k // 2) % 2 else Q1
+    return -1 if ((k - 1) * q + r + k // 2) % 2 else 1
+
+
+# Largest nabla_n, in rows x cols, that nabla() builds.  The matrix is a
+# dense list of rows, so this many cells hold 160 MB of list slots before
+# any entry object; the tests and the benchmark build at most 0.9M.
+MAX_NABLA_CELLS = 20_000_000
 
 
 class Space:
@@ -77,7 +84,7 @@ def _expand(args):
     args: list of [(index, coeff), ...].  Yields (coefficient, sorted
     increasing tuple); repeated indices are dropped.
     """
-    results = [(Q1, ())]
+    results = [(1, ())]
     for vec in args:
         new = []
         for coeff, tup in results:
@@ -94,16 +101,15 @@ def _expand(args):
 
 
 def _sparse_column(matrix, j):
-    return [(i, matrix.data[i][j]) for i in range(matrix.rows)
-            if matrix.data[i][j] != 0]
+    return _sparse_from(matrix.col(j))
 
 
 def _sparse_from(vec):
-    return [(i, c) for i, c in enumerate(vec) if c != 0]
+    return [(i, _demote(c)) for i, c in enumerate(vec) if c != 0]
 
 
 def _usp(i):
-    return [(i, Q1)]
+    return [(i, 1)]
 
 
 class LatticeContext:
@@ -113,6 +119,10 @@ class LatticeContext:
         if rep.source != x:
             raise ValueError("the 2-representation is over another "
                              "crossed module")
+        bad = validate_crossed_module(x)
+        if bad:
+            raise ValueError("invalid crossed module: violated %s"
+                             % sorted(set(b[0] for b in bad)))
         bad = validate_two_rep(rep)
         if bad:
             raise ValueError("invalid 2-representation: violated %s"
@@ -218,7 +228,7 @@ class LatticeContext:
                                     for b in range(coeff_mat.cols):
                                         if row[b] != 0:
                                             out.data[row0 + a][col0 + b] \
-                                                += val * row[b]
+                                                += val * _demote(row[b])
         return out
 
     def _build_delta_r(self, p, q, r):
@@ -232,7 +242,7 @@ class LatticeContext:
             for jpos in range(q + 1):
                 rest = [_usp(i) for t, i in enumerate(I) if t != jpos]
                 y = self.target(p).col(I[jpos])
-                sign = -Q1 if jpos % 2 else Q1
+                sign = -1 if jpos % 2 else 1
                 if r == 0:
                     yield (sign, self.rep.rho0_v.act(y), rest, [])
                 else:
@@ -249,7 +259,7 @@ class LatticeContext:
                         continue
                     rest = [_usp(i) for t, i in enumerate(I)
                             if t not in (m, n)]
-                    sign = -Q1 if (m + n) % 2 else Q1
+                    sign = -1 if (m + n) % 2 else 1
                     yield (sign, None, [_sparse_from(br)] + rest, units_J)
 
         return self._assemble(src, tgt, terms)
@@ -263,11 +273,11 @@ class LatticeContext:
             units_I = [_usp(i) for i in I]
             if r == 0:
                 # seed: (delta_one w)(Xi; x) = rho1(x) w(Xi)
-                yield (Q1, self.rep.rho1[J[0]], units_I, [])
+                yield (1, self.rep.rho1[J[0]], units_I, [])
                 return
             for kpos in range(r + 1):
                 rest = [_usp(j) for t, j in enumerate(J) if t != kpos]
-                sign = -Q1 if kpos % 2 else Q1
+                sign = -1 if kpos % 2 else 1
                 yield (sign, self._rho01_mu[J[kpos]], units_I, rest)
             for a in range(r + 1):
                 for b in range(a + 1, r + 1):
@@ -276,7 +286,7 @@ class LatticeContext:
                         continue
                     rest = [_usp(j) for t, j in enumerate(J)
                             if t not in (a, b)]
-                    sign = -Q1 if (a + b) % 2 else Q1
+                    sign = -1 if (a + b) % 2 else 1
                     yield (sign, None, units_I, [_sparse_from(br)] + rest)
 
         return self._assemble(src, tgt, terms)
@@ -289,7 +299,7 @@ class LatticeContext:
         def terms(I, J):
             units_J = [_usp(j) for j in J]
             for k, face in enumerate(faces):
-                sign = -Q1 if k % 2 else Q1
+                sign = -1 if k % 2 else 1
                 gp_args = [_sparse_column(face, i) for i in I]
                 yield (sign, None, gp_args, units_J)
 
@@ -309,7 +319,7 @@ class LatticeContext:
         def terms(I, J):
             units_J = [_usp(j) for j in J]
             for subset in combinations(range(q + k), k):
-                sign = -Q1 if sum(subset) % 2 else Q1
+                sign = -1 if sum(subset) % 2 else 1
                 gp_args = [_sparse_column(face0, I[t])
                            for t in range(q + k) if t not in subset]
                 g_args = [x0_part(I[t]) for t in subset] + units_J
@@ -341,11 +351,19 @@ class LatticeContext:
         return offs, pos
 
     def nabla(self, n):
-        """The total differential C^n_tot -> C^{n+1}_tot as one matrix."""
+        """The total differential C^n_tot -> C^{n+1}_tot as one matrix.
+
+        Raises ValueError, before allocating, if it would have more than
+        MAX_NABLA_CELLS cells."""
         if n in self._nablas:
             return self._nablas[n]
         src_offs, src_dim = self.block_offsets(n)
         tgt_offs, tgt_dim = self.block_offsets(n + 1)
+        if tgt_dim * src_dim > MAX_NABLA_CELLS:
+            raise ValueError("refusing to build nabla_%d: %d x %d = %d cells "
+                             "exceeds the limit of %d"
+                             % (n, tgt_dim, src_dim, tgt_dim * src_dim,
+                                MAX_NABLA_CELLS))
         out = Matrix.zero(tgt_dim, src_dim)
 
         def place(tgt_block, src_block, mat, sign):
@@ -362,11 +380,11 @@ class LatticeContext:
 
         for (p, q, r) in self.degree_blocks(n):
             place((p, q + 1, r), (p, q, r),
-                  self.component_matrix("deltaR", p, q, r), Q1)
-            s1 = -Q1 if q % 2 else Q1
+                  self.component_matrix("deltaR", p, q, r), 1)
+            s1 = -1 if q % 2 else 1
             place((p, q, r + 1), (p, q, r),
                   self.component_matrix("delta1", p, q, r), s1)
-            sp = -Q1 if (q + r) % 2 else Q1
+            sp = -1 if (q + r) % 2 else 1
             place((p + 1, q, r), (p, q, r),
                   self.component_matrix("partial", p, q, r), sp)
             for k in range(1, r + 1):
@@ -402,10 +420,20 @@ class LatticeContext:
         of the ones before them."""
         assert n >= 0
         dn = self.nabla(n)
-        image = self.nabla(n - 1).columns() if n else []
         _, kernel = rank_and_kernel(dn)
-        _, pivots = _echelon(vectors_matrix(image + kernel, dim=dn.cols))
-        reps = [kernel[c - len(image)] for c in pivots if c >= len(image)]
+        # row i of [im | ker] is row i of nabla_{n-1}, then the kernel's
+        # i-th coordinates
+        if n:
+            image = self.nabla(n - 1)
+            rows, width = _sparse_rows(image.data), image.cols
+        else:
+            rows, width = [{} for _ in range(dn.cols)], 0
+        for k, v in enumerate(kernel):
+            for i, x in enumerate(v):
+                if x:
+                    rows[i][width + k] = x
+        pivots = _echelon(rows)
+        reps = [kernel[c - width] for c in sorted(pivots) if c >= width]
         return len(reps), reps
 
     # -- low-degree interpretations ------------------------------------------

@@ -1,10 +1,13 @@
 """Exact rational linear algebra and truncated-Taylor (jet) arithmetic.
 
 Everything algebraic in this package runs over arbitrary-precision
-rationals (``fractions.Fraction``); ranks and kernels are computed by
-Gaussian elimination, so cohomology dimensions come out as honest
-integers.  Jets carry float coefficients and exist only to extract
-derivatives of matrix-group formulas exactly (no finite differences).
+rationals (``fractions.Fraction``, integral values kept as ``int``).
+Ranks, kernels and solutions come from one sparse exact elimination:
+rows are {column: value} dicts, brought to the reduced row echelon form,
+which is unique, so every result read off it is independent of the
+elimination order and cohomology dimensions come out as honest integers.
+Jets carry float coefficients and exist only to extract derivatives of
+matrix-group formulas exactly (no finite differences).
 """
 
 from fractions import Fraction
@@ -103,55 +106,22 @@ class Matrix:
         c = rat(c)
         return Matrix(self.rows, self.cols, [[c * a for a in r] for r in self.data])
 
-    def _int_rows(self):
-        """Rows as plain ints, or None if any entry is a true fraction."""
-        out = []
-        for row in self.data:
-            new = []
-            for x in row:
-                if isinstance(x, int):
-                    new.append(x)
-                elif x.denominator == 1:
-                    new.append(x.numerator)
-                else:
-                    return None
-            out.append(new)
-        return out
-
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return self.scale(other)
         assert self.cols == other.rows, (self.cols, other.rows)
-        a_int = self._int_rows()
-        b_int = other._int_rows() if a_int is not None else None
-        if a_int is not None and b_int is not None:
-            out = Matrix(self.rows, other.cols)
-            data = out.data
-            for i in range(self.rows):
-                row = a_int[i]
-                acc = [0] * other.cols
-                for k in range(self.cols):
-                    x = row[k]
-                    if x:
-                        brow = b_int[k]
-                        for j in range(other.cols):
-                            if brow[j]:
-                                acc[j] += x * brow[j]
-                data[i] = acc
-            return out
+        # the nonzero (column, entry) pairs of each row of the right
+        # factor; integral entries as ints, so integral products stay ints
+        right = [[(j, b if type(b) is int else _demote(b))
+                  for j, b in enumerate(row) if b] for row in other.data]
         out = Matrix(self.rows, other.cols)
-        for i in range(self.rows):
-            row = self.data[i]
-            orow = out.data[i]
-            for k in range(self.cols):
-                a = row[k]
-                if a == 0:
-                    continue
-                brow = other.data[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if b != 0:
-                        orow[j] += a * b
+        for acc, row in zip(out.data, self.data):
+            for a, pairs in zip(row, right):
+                if a and pairs:
+                    if type(a) is not int:
+                        a = _demote(a)
+                    for j, b in pairs:
+                        acc[j] += a * b
         return out
 
     def apply(self, vec):
@@ -189,43 +159,6 @@ class Matrix:
         return [self.col(j) for j in range(self.cols)]
 
 
-def _echelon(m):
-    """Row echelon form; returns (matrix rows, pivot column list).
-
-    Pivot choice: among the nonzero candidates of the pivot column take
-    the entry minimizing |numerator|*denominator, which keeps the
-    fractions from blowing up on the mid-sized lattice matrices.
-    """
-    a = [row[:] for row in m.data]
-    nrows, ncols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        best = -1
-        best_size = None
-        for i in range(r, nrows):
-            x = a[i][c]
-            if x != 0:
-                size = abs(x.numerator) * x.denominator
-                if best_size is None or size < best_size:
-                    best, best_size = i, size
-        if best < 0:
-            continue
-        a[r], a[best] = a[best], a[r]
-        piv = a[r][c]
-        inv = Q1 / piv
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
 def _demote(x):
     """Fractions with denominator one become ints (faster downstream)."""
     if isinstance(x, Fraction) and x.denominator == 1:
@@ -233,45 +166,102 @@ def _demote(x):
     return x
 
 
+def _sparse_rows(data):
+    """The nonzero entries of dense rows as {column: value} dicts."""
+    return [{j: _demote(x) for j, x in enumerate(row) if x} for row in data]
+
+
+def _add_multiple(row, f, other):
+    """row += f * other in place, dropping the entries that cancel."""
+    for j, v in other.items():
+        x = row.get(j, 0) + f * v
+        if x:
+            row[j] = _demote(x)
+        else:
+            del row[j]
+
+
+def _echelon(rows):
+    """Row echelon form of sparse rows, which it consumes.
+
+    Returns {leading column: row}, each row scaled to 1 at its leading
+    column and zero left of it.  Rows go in shortest first (little
+    fill-in, after Markowitz) and are reduced against the pivot rows by
+    their leading column until they start a new pivot or vanish.
+    """
+    pivots = {}
+    for row in sorted(rows, key=len):
+        while row:
+            c = min(row)
+            pivot_row = pivots.get(c)
+            if pivot_row is None:
+                piv = row[c]
+                if piv != 1:
+                    inv = Q1 / piv
+                    row = {j: _demote(x * inv) for j, x in row.items()}
+                pivots[c] = row
+                break
+            _add_multiple(row, -row[c], pivot_row)
+    return pivots
+
+
+def _rref(rows):
+    """Reduced row echelon form of sparse rows, as {pivot column: row}.
+
+    Back-substitution from the last pivot up clears every other pivot
+    column of each row.  The RREF of a matrix is unique, so the result
+    does not depend on the order in which the rows went in.
+    """
+    pivots = _echelon(rows)
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for k in [k for k in row if k != c and k in pivots]:
+            _add_multiple(row, -row[k], pivots[k])
+    return pivots
+
+
 def rank_and_kernel(m):
-    """Rank of m and a basis of its right kernel (list of vectors)."""
-    a, pivots = _echelon(m)
-    rank = len(pivots)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [0] * m.cols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = _demote(-a[r][fc])
-        basis.append(v)
-    return rank, basis
+    """Rank of m and a basis of its right kernel (list of vectors), one
+    vector per free column of the reduced echelon form."""
+    reduced = _rref(_sparse_rows(m.data))
+    basis = {}                       # free column -> its vector, in order
+    for fc in range(m.cols):
+        if fc not in reduced:
+            basis[fc] = [0] * m.cols
+            basis[fc][fc] = 1
+    for pc, row in reduced.items():
+        for j, x in row.items():
+            if j != pc:
+                basis[j][pc] = -x
+    return len(reduced), list(basis.values())
 
 
 def rank(m):
-    return rank_and_kernel(m)[0]
+    return len(_echelon(_sparse_rows(m.data)))
 
 
 class LinearSolver:
     """Prefactored exact solver for repeated systems with one matrix.
 
-    Factors the echelon form of [A | I] once; solve(b) then costs one
-    matrix-vector product plus back-reads."""
+    Factors the reduced echelon form of [A | I] once; solve(b) then costs
+    one sparse matrix-vector product plus back-reads."""
 
     def __init__(self, a):
         self.matrix = a
-        aug = a.hstack(Matrix.identity(a.rows))
-        reduced, pivots = _echelon(aug)
-        self.pivots = [p for p in pivots if p < a.cols]
-        self.reduced = reduced
-        self.transform = [row[a.cols:] for row in reduced]
+        n = a.cols
+        rows = _sparse_rows(a.data)
+        for i, row in enumerate(rows):
+            row[n + i] = 1
+        reduced = _rref(rows)
+        order = sorted(reduced)
+        self.pivots = [c for c in order if c < n]
+        self.transform = [{j - n: x for j, x in reduced[c].items() if j >= n}
+                          for c in order]
 
     def solve(self, b):
         assert len(b) == self.matrix.rows
-        y = []
-        for trow in self.transform:
-            y.append(sum((t * x for t, x in zip(trow, b) if t and x), 0))
+        y = [sum((t * b[j] for j, t in trow.items() if b[j]), 0)
+             for trow in self.transform]
         x = [0] * self.matrix.cols
         for r, pc in enumerate(self.pivots):
             x[pc] = _demote(y[r])
@@ -289,13 +279,17 @@ class LinearSolver:
 def solve_linear(m, b):
     """Solve m x = b exactly; None iff b is not in the column space."""
     assert len(b) == m.rows, "dimension mismatch"
-    aug = m.hstack(Matrix.column(b))
-    a, pivots = _echelon(aug)
-    if m.cols in pivots:
+    n = m.cols
+    rows = _sparse_rows(m.data)
+    for row, x in zip(rows, b):
+        if x:
+            row[n] = _demote(rat(x))
+    reduced = _rref(rows)
+    if n in reduced:
         return None
-    x = [0] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = _demote(a[r][m.cols])
+    x = [0] * n
+    for pc, row in reduced.items():
+        x[pc] = row.get(n, 0)
     return x
 
 

@@ -73,6 +73,37 @@ def test_invalid_two_rep_exit_two(tmp_path, capsys):
         assert "rho0_v_homomorphism" in err
 
 
+def test_trivial_invalid_crossed_module_exit_two(tmp_path, capsys):
+    """--trivial validates the crossed module before computing: g fails
+    Jacobi, and the unit 2-representation would accept any bracket."""
+    bad = {"lie2algebra": {
+        "g": {"dim": 3, "brackets": {"0,1": ["0", "0", "1"],
+                                     "0,2": ["0", "1", "0"],
+                                     "1,2": ["0", "0", "1"]}},
+        "h": {"dim": 0, "brackets": {}},
+        "mu": [],
+        "action": []}}
+    path = tmp_path / "badg.json"
+    path.write_text(json.dumps(bad))
+    code, out, err = run(capsys, ["cohomology", str(path), "--degree", "2",
+                                  "--trivial"])
+    assert code == 2
+    assert "jacobi_g" in err
+    assert "H^2" not in out
+
+
+def test_oversized_nabla_exit_two(monkeypatch, capsys):
+    """A nabla above the cell limit is refused as an input error."""
+    import lie2coh.lattice as lattice_mod
+    monkeypatch.setattr(lattice_mod, "MAX_NABLA_CELLS", 5000)
+    for argv in (["cohomology", ADJOINT, "--degree", "3"],
+                 ["nabla-check", ADJOINT]):
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert "nabla_3: 120 x 56 = 6720 cells" in err
+        assert "CHECK" not in out
+
+
 def test_parse_error_exit_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{ not json")

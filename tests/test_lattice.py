@@ -4,12 +4,15 @@ total differential, cohomology, and low-degree interpretations."""
 import os
 from math import comb
 
+import pytest
+
 from lie2coh.numeric import (Matrix, Q0, Q1, rank, rank_and_kernel,
                              vectors_matrix, in_span)
 from lie2coh.liealg import LieAlgebra, Representation, _unit, ce_differential
-from lie2coh.lie2 import CrossedModuleAlg, TwoVectorSpace
+from lie2coh.lie2 import CrossedModuleAlg, TwoVectorSpace, gl_phi
 from lie2coh.tworep import TwoRep, adjoint_rep
 from lie2coh.lattice import (LatticeContext, LatticeCochain, _delta_sign,
+                             MAX_NABLA_CELLS,
                              trivial_total_complex, trivial_cohomology_dim)
 from lie2coh.homalg import FinComplex
 from lie2coh.cli import load_problem
@@ -317,6 +320,49 @@ def test_trivial_cohomology_against_ce():
         assert got == [ce.cohomology_dim(n) for n in range(1, 4)] == expect
 
 
+def g0_adjoint_context(h):
+    """g = 0, W = 0 and V = h with the adjoint action."""
+    x = CrossedModuleAlg(LieAlgebra.abelian(0), h, Matrix.zero(h.dim, 0),
+                         Representation.trivial(h, 0))
+    rep = TwoRep(x, TwoVectorSpace(0, h.dim, Matrix.zero(h.dim, 0)), [],
+                 Representation.trivial(h, 0), Representation.adjoint(h))
+    return LatticeContext(x, rep)
+
+
+def test_adjoint_g0_cohomology_against_ce():
+    """g = 0: the lattice H^n with values in V = adjoint is the
+    Chevalley-Eilenberg H^n(h; V), computed without the lattice."""
+    cases = ((LieAlgebra.heisenberg3(), [1, 4, 5, 2]),
+             (LieAlgebra.sl2(), [0, 0, 0, 0]),
+             (LieAlgebra.aff1(), [0, 0, 0, 0]))
+    for h, expect in cases:
+        ctx = g0_adjoint_context(h)
+        ad = Representation.adjoint(h)
+        ce = FinComplex(0, h.dim,
+                        {q: comb(h.dim, q) * h.dim for q in range(h.dim + 1)},
+                        {q: ce_differential(ad, q) for q in range(h.dim)})
+        got = [ctx.total_cohomology(n)[0] for n in range(4)]
+        assert got == [ce.cohomology_dim(n) for n in range(4)] == expect
+
+
+def test_nabla_refused_before_allocation(monkeypatch):
+    """The adjoint 2-representation of gl(phi), phi = 0: Q^2 -> Q^2, has a
+    146.5M-cell nabla_4; it is refused without building any large
+    matrix."""
+    x = gl_phi(TwoVectorSpace(2, 2, Matrix.zero(2, 2)))
+    ctx = LatticeContext(x, adjoint_rep(x))
+    init = Matrix.__init__
+
+    def small_only(self, rows, cols, data=None):
+        assert rows * cols <= 10 ** 6, "allocated %d x %d" % (rows, cols)
+        init(self, rows, cols, data)
+
+    monkeypatch.setattr(Matrix, "__init__", small_only)
+    with pytest.raises(ValueError, match=r"nabla_4: 21532 x 6804 "):
+        ctx.nabla(4)
+    assert 21532 * 6804 > MAX_NABLA_CELLS
+
+
 def test_trivial_cohomology_against_fincomplex():
     rng = rng_from_seed(24)
     for _ in range(10):
@@ -603,12 +649,7 @@ def test_total_cohomology_representatives_match_greedy():
     cases.append((load_problem(adjoint).context(), range(4)))
     # g = 0, h = Heisenberg, V = adjoint: here the representatives are not
     # the leading kernel vectors
-    h = LieAlgebra.heisenberg3()
-    x = CrossedModuleAlg(LieAlgebra.abelian(0), h, Matrix.zero(3, 0),
-                         Representation.trivial(h, 0))
-    rep = TwoRep(x, TwoVectorSpace(0, 3, Matrix.zero(3, 0)), [],
-                 Representation.trivial(h, 0), Representation.adjoint(h))
-    cases.append((LatticeContext(x, rep), range(3)))
+    cases.append((g0_adjoint_context(LieAlgebra.heisenberg3()), range(3)))
     for ctx, degrees in cases:
         for n in degrees:
             dim, reps = ctx.total_cohomology(n)
