@@ -220,12 +220,13 @@ def cmd_cohomology(args):
     ctx = pf.context()
     bad_blocks = []
     with _refusal_as_input_error():
-        for n in range(args.degree + 1):
+        # H^N needs nabla_n nabla_{n-1} = 0 for 1 <= n <= N only
+        for n in range(args.degree):
             bad_blocks.extend(ctx.nabla_squared_blocks(n))
         dim, _ = ctx.total_cohomology(args.degree)
     _check(report, "nabla_squared_precheck", not bad_blocks,
-           "degrees 0..%d" % args.degree if not bad_blocks
-           else "nonzero blocks %s" % (bad_blocks,))
+           "nabla_n nabla_{n-1} = 0 for 1 <= n <= %d" % args.degree
+           if not bad_blocks else "nonzero blocks %s" % (bad_blocks,))
     print("H^%d = %d" % (args.degree, dim))
     if args.degree == 0:
         inv = ctx.h0_invariants()

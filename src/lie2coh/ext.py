@@ -4,9 +4,9 @@ trivial-coefficient central-extension construction."""
 
 from .numeric import (Matrix, Q0, Q1, rank, rank_and_kernel, solve_linear,
                       vectors_matrix, increasing_tuples)
-from .liealg import LieAlgebra, Representation, _unit
-from .lie2 import CrossedModuleAlg, validate_crossed_module
-from .tworep import TwoRep, validate_two_rep
+from .liealg import Representation, _unit
+from .lie2 import TwoVectorSpace, validate_crossed_module
+from .tworep import TwoRep, validate_two_rep, twisted_semidirect
 from .lattice import LatticeContext, LatticeCochain, trivial_context
 
 # names of the cocycle equations, keyed by the lattice block where each
@@ -180,100 +180,23 @@ def extension_from_cocycle(c):
     if bad:
         raise ValueError("invalid 2-cocycle, violated equations: %s" % (bad,))
     ctx = c.ctx
-    x, rep = ctx.x, ctx.rep
     dg, dh, dw, dv = ctx.dg, ctx.dh, ctx.dw, ctx.dv
-    phi = rep.target.phi
-
-    d1 = dg + dw
-    e1_brackets = {}
-    for i in range(d1):
-        for j in range(i + 1, d1):
-            xi, wi = _unit(d1, i)[:dg], _unit(d1, i)[dg:]
-            xj, wj = _unit(d1, j)[:dg], _unit(d1, j)[dg:]
-            gx = x.g.bracket(xi, xj)
-            ww = [p - q - s for p, q, s in zip(
-                rep.rho0_w.act(x.mu.apply(xi)).apply(wj),
-                rep.rho0_w.act(x.mu.apply(xj)).apply(wi),
-                c.derived_omega1(xi, xj))]
-            vec = gx + ww
-            if any(a != 0 for a in vec):
-                e1_brackets[(i, j)] = vec
-    e1 = LieAlgebra(d1, e1_brackets)
-
-    d0 = dh + dv
-    e0_brackets = {}
-    for i in range(d0):
-        for j in range(i + 1, d0):
-            yi, vi = _unit(d0, i)[:dh], _unit(d0, i)[dh:]
-            yj, vj = _unit(d0, j)[:dh], _unit(d0, j)[dh:]
-            hy = x.h.bracket(yi, yj)
-            vv = [p - q - s for p, q, s in zip(
-                rep.rho0_v.act(yi).apply(vj),
-                rep.rho0_v.act(yj).apply(vi),
-                c.omega0_of(yi, yj))]
-            vec = hy + vv
-            if any(a != 0 for a in vec):
-                e0_brackets[(i, j)] = vec
-    e0 = LieAlgebra(d0, e0_brackets)
-
-    eps = Matrix.zero(d0, d1)
-    for a in range(dh):
-        for b in range(dg):
-            eps.data[a][b] = x.mu.data[a][b]
-    for a in range(dv):
-        for b in range(dw):
-            eps.data[dh + a][dg + b] = phi.data[a][b]
-        for b in range(dg):
-            eps.data[dh + a][b] = c.phi_g.data[a][b]
-
-    mats = []
-    for bidx in range(d0):
-        yv, vv = _unit(d0, bidx)[:dh], _unit(d0, bidx)[dh:]
-        m = Matrix.zero(d1, d1)
-        ly = x.action.act(yv)
-        rw = rep.rho0_w.act(yv)
-        for a in range(dg):
-            for b in range(dg):
-                m.data[a][b] = ly.data[a][b]
-        for a in range(dw):
-            for b in range(dw):
-                m.data[dg + a][dg + b] = rw.data[a][b]
-        for b in range(dg):
-            col_r = rep.rho1[b].apply(vv)
-            col_a = c.alpha_of(yv, _unit(dg, b))
-            for a in range(dw):
-                m.data[dg + a][b] = -col_r[a] - col_a[a]
-        mats.append(m)
-    action = Representation(e0, d1, mats)
-    total = CrossedModuleAlg(e1, e0, eps, action)
+    omega1 = c.omega1_values()
+    total = twisted_semidirect(ctx.x, ctx.rep, c.omega0.values, omega1,
+                               c.alpha.values, c.phi_g)
     assert not validate_crossed_module(total), \
         "cocycle data failed to assemble into a crossed module"
-
-    include_w = Matrix.zero(d1, dw)
-    for a in range(dw):
-        include_w.data[dg + a][a] = Q1
-    include_v = Matrix.zero(d0, dv)
-    for a in range(dv):
-        include_v.data[dh + a][a] = Q1
-    project_g = Matrix.zero(dg, d1)
-    for a in range(dg):
-        project_g.data[a][a] = Q1
-    project_h = Matrix.zero(dh, d0)
-    for a in range(dh):
-        project_h.data[a][a] = Q1
-    return ExtensionResult(total, include_w, include_v, project_g, project_h,
-                           c.omega1_values(), base=ctx.x)
+    return ExtensionResult(
+        total, Matrix.zero(dg, dw).vstack(Matrix.identity(dw)),
+        Matrix.zero(dh, dv).vstack(Matrix.identity(dv)),
+        Matrix.identity(dg).hstack(Matrix.zero(dg, dw)),
+        Matrix.identity(dh).hstack(Matrix.zero(dh, dv)), omega1, base=ctx.x)
 
 
 def canonical_splitting(e):
-    """The block splittings z -> (z, 0) of a constructed extension."""
-    sigma1 = Matrix.zero(e.total.g.dim, e.project_g.rows)
-    for a in range(e.project_g.rows):
-        sigma1.data[a][a] = Q1
-    sigma0 = Matrix.zero(e.total.h.dim, e.project_h.rows)
-    for a in range(e.project_h.rows):
-        sigma0.data[a][a] = Q1
-    return sigma0, sigma1
+    """The block splittings z -> (z, 0) of a constructed extension, as
+    new matrices (sigma0, sigma1)."""
+    return e.project_h.transpose(), e.project_g.transpose()
 
 
 def cocycle_from_extension(e, sigma0, sigma1, base_x=None):
@@ -366,7 +289,6 @@ def cocycle_from_extension(e, sigma0, sigma1, base_x=None):
 
 
 def _target_of(e):
-    from .lie2 import TwoVectorSpace
     dw, dv = e.include_w.cols, e.include_v.cols
     # phi: W -> V through the extension: eps on the included W lands in V
     cols = []
@@ -519,7 +441,8 @@ def trivial_cocycle_defects(x, omega_vals, phi_vals):
 
 
 def trivial_coeff_extension(x, omega_vals, phi_vals):
-    """The crossed module mu_phi: g -> h (+)^omega R for a trivial 2-cocycle.
+    """The crossed module mu_phi: g -> h (+)^omega R for a trivial 2-cocycle:
+    the extension by the unit 2-representation (W = 0, V = Q).
 
     omega_vals: values of a 2-form on h on increasing basis pairs;
     phi_vals: a linear functional on g_1 = g (+) h (g-block first).
@@ -528,36 +451,10 @@ def trivial_coeff_extension(x, omega_vals, phi_vals):
     if defects:
         raise ValueError("not a trivial-coefficient 2-cocycle: %s"
                          % sorted(defects))
-    dg, dh = x.g.dim, x.h.dim
-    pairs = increasing_tuples(dh, 2)
-    omega = {pair: omega_vals[i] for i, pair in enumerate(pairs)}
-
-    def omega_of(i, j):
-        if i == j:
-            return Q0
-        if i < j:
-            return omega.get((i, j), Q0)
-        return -omega.get((j, i), Q0)
-
-    d0 = dh + 1
-    brackets = {}
-    for i in range(dh):
-        for j in range(i + 1, dh):
-            vec = x.h.basis_bracket(i, j) + [-omega_of(i, j)]
-            if any(c != 0 for c in vec):
-                brackets[(i, j)] = vec
-    h_ext = LieAlgebra(d0, brackets)
-
-    mu_ext = Matrix(d0, dg)
-    for a in range(dh):
-        for b in range(dg):
-            mu_ext.data[a][b] = x.mu.data[a][b]
-    for b in range(dg):
-        mu_ext.data[dh][b] = phi_vals[b]      # phi on the g-block
-
-    mats = [x.action.mats[b] for b in range(dh)] + [Matrix.zero(dg, dg)]
-    action = Representation(h_ext, dg, mats)
-    out = CrossedModuleAlg(x.g, h_ext, mu_ext, action)
+    dg = x.g.dim
+    unit = TwoRep.trivial(x, TwoVectorSpace(0, 1, Matrix.zero(1, 0)))
+    out = twisted_semidirect(x, unit, omega_vals, [], [],
+                             Matrix(1, dg, [phi_vals[:dg]]))
     assert not validate_crossed_module(out), \
         "mu_phi construction failed validation"
     return out

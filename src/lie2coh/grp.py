@@ -844,41 +844,39 @@ def gp2cocycle_residuals(rep, omega0, omega1, alpha, phihat, samples=20,
 
 
 def homotopy_curvature_residual(rep, samples=10, seed=0, scale=0.4):
-    """Evaluate the induced rep-up-to-homotopy curvature on samples.
+    """Worst sampled defect of the identities that make rep a morphism of
+    crossed modules into GL(phi), which is what makes the curvature of the
+    induced representation up to homotopy vanish:
 
-    Omega compares the splitting h_(g,h)(v) = (g, h; 0, v) against the
-    composition through the semidirect 2-group; its fiber part must be
-    identically zero.
+    rho1(g1 g2) = rho1(g1) + rho1(g2) + rho1(g1) phi rho1(g2); rho0^W and
+    rho0^V are homomorphisms; phi rho0^W(h) = rho0^V(h) phi;
+    rho0^W(i(g)) = I + rho1(g) phi and rho0^V(i(g)) = I + phi rho1(g);
+    rho1(g^h) = rho0^W(h)^{-1} rho1(g) rho0^V(h).
     """
-    gx = rep.gx
+    gx, phi = rep.gx, rep.phi
     rng = random.Random(seed)
-    dw, dv = rep.dim_w, rep.dim_v
-
-    def e_join(a, b):
-        # groupoid composition in the semidirect extension: arrows
-        # ((g', w'), (h i(g), v)) JOIN ((g, w), (h, v)) =
-        # ((g g', w + rho0^1(i(g)) w'), (h, v))
-        (g2, w2, h2, v2), (g1, w1, h1, v1) = a, b
-        g = gx.mul_g(g1, g2)
-        w = _vadd(w1, mapply(rep.rho0_w(gx.i(g1)), w2))
-        return (g, w, h1, v1)
-
+    eye_w, eye_v = meye(rep.dim_w), meye(rep.dim_v)
     worst = 0.0
+    # each h sample is also the second factor of the next sample's product
+    h2 = gx.sample_h(rng, scale)
     for _ in range(samples):
         g1 = gx.sample_g(rng, scale)
         g2 = gx.sample_g(rng, scale)
-        h = gx.sample_h(rng, scale)
-        v = [2 * rng.random() - 1 for _ in range(dv)]
-        g21 = gx.mul_g(g2, g1)
-        # h_{(g2 g1, h)}(v) minus h_{(g1, h i(g2))}(Delta^V...) JOIN h_{(g2,h)}(v)
-        lead = (g21, [0.0] * dw, h, v)
-        mid = e_join((g1, [0.0] * dw, gx.mul_h(h, gx.i(g2)), v),
-                     (g2, [0.0] * dw, h, v))
-        diff_fiber_w = _vsub(lead[1], mid[1])
-        diff_fiber_v = _vsub(lead[3], mid[3])
-        # composing with the zero arrow over the inverse only moves the
-        # base, so the curvature's fiber part is this difference
-        worst = max(worst, vmax(diff_fiber_w), vmax(diff_fiber_v))
+        h1 = gx.sample_h(rng, scale)
+        r1, r2 = rep.rho1(g1), rep.rho1(g2)
+        w1, v1 = rep.rho0_w(h1), rep.rho0_v(h1)
+        h12 = gx.mul_h(h1, h2)
+        for lhs, rhs in (
+                (rep.rho1(gx.mul_g(g1, g2)),
+                 madd(madd(r1, r2), mmul(r1, mmul(phi, r2)))),
+                (rep.rho0_w(h12), mmul(w1, rep.rho0_w(h2))),
+                (rep.rho0_v(h12), mmul(v1, rep.rho0_v(h2))),
+                (mmul(phi, w1), mmul(v1, phi)),
+                (rep.rho0_w(gx.i(g1)), madd(eye_w, mmul(r1, phi))),
+                (rep.rho0_v(gx.i(g1)), madd(eye_v, mmul(phi, r1))),
+                (rep.rho1(gx.act(g1, h1)), mmul(minv(w1), mmul(r1, v1)))):
+            worst = max(worst, residual(lhs, rhs))
+        h2 = h1
     return worst
 
 

@@ -21,8 +21,8 @@ Component maps (q-degree, r-degree and p-degree directions):
 The total differential is the signed block sum of these.  The signs on
 delta_r / delta_one / partial follow the total-complex grading; the signs
 on the difference maps are calibrated so that nabla^2 = 0 holds as an
-exact matrix identity (the guarded invariant), and frozen in
-DIFFERENCE_SIGNS below with a regression test.
+exact matrix identity (the guarded invariant); ``_delta_sign`` below
+gives them, and a regression test freezes its values.
 
 Trivial coefficients are no separate complex: they are the unit
 2-representation (W = 0, V = Q, every action zero) restricted to its
@@ -235,23 +235,24 @@ class LatticeContext:
         src = self.space(p, q, r)
         tgt = self.space(p, q + 1, r)
         nerve = self.nerve(p)
-        act = self.x.action
+        # the actions of y = t_p(e_i) on the coefficients and on g, once
+        # per basis index i of g_p
+        ys = self.target(p).columns()
+        rho0 = self.rep.rho0_w if r else self.rep.rho0_v
+        coeff = [rho0.act(y) for y in ys]
+        moved_by = [[_sparse_column(ly, j) for j in range(self.dg)]
+                    for ly in map(self.x.action.act, ys)] if r else None
 
         def terms(I, J):
             units_J = [_usp(j) for j in J]
             for jpos in range(q + 1):
                 rest = [_usp(i) for t, i in enumerate(I) if t != jpos]
-                y = self.target(p).col(I[jpos])
                 sign = -1 if jpos % 2 else 1
-                if r == 0:
-                    yield (sign, self.rep.rho0_v.act(y), rest, [])
-                else:
-                    yield (sign, self.rep.rho0_w.act(y), rest, units_J)
-                    ly = act.act(y)
-                    for kpos in range(r):
-                        moved = [_sparse_column(ly, J[t]) if t == kpos
-                                 else _usp(J[t]) for t in range(r)]
-                        yield (-sign, None, rest, moved)
+                yield (sign, coeff[I[jpos]], rest, units_J)
+                for kpos in range(r):
+                    moved = [moved_by[I[jpos]][J[t]] if t == kpos
+                             else _usp(J[t]) for t in range(r)]
+                    yield (-sign, None, rest, moved)
             for m in range(q + 1):
                 for n in range(m + 1, q + 1):
                     br = nerve.basis_bracket(I[m], I[n])

@@ -100,45 +100,14 @@ def validate_crossed_module(x):
 
 
 def lie2_arrows(x):
-    """The semidirect sum g (+)_L h carrying the arrow Lie algebra.
+    """The semidirect sum g (+)_L h carrying the arrow Lie algebra: the
+    nerve algebra g_1.
 
     Basis: g-block first, then h-block.  Bracket:
     [(x0,y0),(x1,y1)] = ([x0,x1] + L_{y0}x1 - L_{y1}x0, [y0,y1]).
     """
     assert not validate_crossed_module(x), "invalid crossed module"
-    return _arrows_unchecked(x)
-
-
-def _arrows_unchecked(x):
-    dg, dh = x.g.dim, x.h.dim
-    d = dg + dh
-    brackets = {}
-
-    def pair_bracket(i, j):
-        xi, yi = _split_unit(i, dg, dh)
-        xj, yj = _split_unit(j, dg, dh)
-        gx = x.g.bracket(xi, xj)
-        gx = [a + b - c for a, b, c in
-              zip(gx, x.action.act(yi).apply(xj), x.action.act(yj).apply(xi))]
-        hy = x.h.bracket(yi, yj)
-        return gx + hy
-
-    for i in range(d):
-        for j in range(i + 1, d):
-            vec = pair_bracket(i, j)
-            if any(a != 0 for a in vec):
-                brackets[(i, j)] = vec
-    return LieAlgebra(d, brackets)
-
-
-def _split_unit(i, dg, dh):
-    xv = [Q0] * dg
-    yv = [Q0] * dh
-    if i < dg:
-        xv[i] = Q1
-    else:
-        yv[i - dg] = Q1
-    return xv, yv
+    return nerve_algebra(x, 1).underlying
 
 
 def xmod_from_quadruple(h, ideal_indices, v_dim, rho):
@@ -386,14 +355,9 @@ def face_matrix(x, p, k):
 
 def final_target_matrix(x, p):
     """t_p: g_p -> h, (x^0..x^{p-1}; y) -> y + sum_j mu(x^j)."""
-    dg, dh = x.g.dim, x.h.dim
-    m = Matrix.zero(dh, p * dg + dh)
-    for j in range(p):
-        for a in range(dh):
-            for b in range(dg):
-                m.data[a][j * dg + b] = x.mu.data[a][b]
-    for a in range(dh):
-        m.data[a][p * dg + a] = Q1
+    m = Matrix.identity(x.h.dim)
+    for _ in range(p):
+        m = x.mu.hstack(m)
     return m
 
 

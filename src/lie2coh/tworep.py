@@ -1,10 +1,11 @@
 """2-representations of Lie 2-algebras: validation, the adjoint, the
-associated honest representation, and the semidirect product."""
+associated honest representation, and the twisted semidirect product that
+builds every extension of a Lie 2-algebra by a 2-vector space."""
 
-from .numeric import Matrix, Q0, Q1
+from .numeric import Matrix, Q0, increasing_tuples
 from .liealg import LieAlgebra, Representation, _unit
 from .lie2 import (CrossedModuleAlg, TwoVectorSpace, validate_crossed_module,
-                   lie2_arrows, _arrows_unchecked)
+                   lie2_arrows)
 
 
 class TwoRep:
@@ -103,7 +104,7 @@ def bar_rho(r):
     assert not validate_two_rep(r), "invalid 2-representation"
     x, t = r.source, r.target
     arrows = lie2_arrows(x)
-    dw, dv = t.dim_w, t.dim_v
+    lower_left = Matrix.zero(t.dim_v, t.dim_w)
     mats = []
     for i in range(arrows.dim):
         if i < x.g.dim:
@@ -113,99 +114,76 @@ def bar_rho(r):
             xv = [Q0] * x.g.dim
             yv = _unit(x.h.dim, i - x.g.dim)
         top_left = r.rho0_w.act([a + b for a, b in zip(yv, x.mu.apply(xv))])
-        top_right = r.rho1_of(xv)
-        bottom = r.rho0_v.act(yv)
-        m = Matrix.zero(dw + dv, dw + dv)
-        for a in range(dw):
-            for b in range(dw):
-                m.data[a][b] = top_left.data[a][b]
-            for b in range(dv):
-                m.data[a][dw + b] = top_right.data[a][b]
-        for a in range(dv):
-            for b in range(dv):
-                m.data[dw + a][dw + b] = bottom.data[a][b]
-        mats.append(m)
-    return Representation(arrows, dw + dv, mats)
+        mats.append(top_left.hstack(r.rho1_of(xv)).vstack(
+            lower_left.hstack(r.rho0_v.act(yv))))
+    return Representation(arrows, t.dim_w + t.dim_v, mats)
+
+
+def twisted_semidirect(x, r, omega0, omega1, alpha, phi_g):
+    """The extension e_1 = g (+) W --eps--> e_0 = h (+) V of x by the
+    2-vector space of r, twisted by 2-cochain data; no validation.
+
+    omega0, omega1 and alpha are flat cochain values in the lattice
+    layouts (0,2,0), (0,0,2) and (0,1,1); phi_g: g -> V is a Matrix.
+    [(x,w),(x',w')] = ([x,x'], rho0^1(mu x) w' - rho0^1(mu x') w
+    - omega1(x,x')), [(y,v),(y',v')] = ([y,y'], rho0^0(y) v' - rho0^0(y') v
+    - omega0(y,y')), eps(x,w) = (mu x, phi w + phi_g x) and
+    L_{(y,v)}(x,w) = (L_y x, rho0^1(y) w - rho1(x) v - alpha(y;x)).
+    Zero cochains give the semidirect product; the unit 2-representation
+    (W = 0, V = Q) gives the central extension mu_phi.
+    """
+    t = r.target
+    dg, dh, dw, dv = x.g.dim, x.h.dim, t.dim_w, t.dim_v
+    e1 = _twisted_sum(x.g, [r.rho0_w.act(x.mu.col(a)) for a in range(dg)],
+                      dw, omega1)
+    e0 = _twisted_sum(x.h, r.rho0_v.mats, dv, omega0)
+    eps = x.mu.hstack(Matrix.zero(dh, dw)).vstack(phi_g.hstack(t.phi))
+    top_right = Matrix.zero(dg, dw)
+    mats = []
+    for b in range(dh):
+        # column a of the lower-left block is -alpha(e_b; e_a)
+        block = alpha[b * dg * dw:(b + 1) * dg * dw]
+        lower_left = Matrix(dw, dg, [[-block[a * dw + i] for a in range(dg)]
+                                     for i in range(dw)])
+        mats.append(x.action.mats[b].hstack(top_right).vstack(
+            lower_left.hstack(r.rho0_w.mats[b])))
+    upper = Matrix.zero(dg, dg + dw)
+    lower_right = Matrix.zero(dw, dw)
+    for k in range(dv):
+        # column a of the lower-left block is -rho1(e_a) e_k
+        lower_left = Matrix(dw, dg, [[-r.rho1[a].data[i][k]
+                                      for a in range(dg)] for i in range(dw)])
+        mats.append(upper.vstack(lower_left.hstack(lower_right)))
+    return CrossedModuleAlg(e1, e0, eps, Representation(e0, dg + dw, mats))
+
+
+def _twisted_sum(base, rho, dc, omega):
+    """base (+) Q^dc with [e_a, e_b] = ([e_a, e_b], -omega(e_a, e_b)) and
+    [e_a, c_k] = rho[a] c_k; omega holds dc values per increasing pair."""
+    d = base.dim
+    brackets = {}
+    for n, (a, b) in enumerate(increasing_tuples(d, 2)):
+        brackets[(a, b)] = (base.basis_bracket(a, b)
+                            + [-c for c in omega[n * dc:(n + 1) * dc]])
+    for a in range(d):
+        for k in range(dc):
+            brackets[(a, d + k)] = [0] * d + rho[a].col(k)
+    return LieAlgebra(d + dc, brackets)
 
 
 def semidirect_2alg(x, r):
     """Semidirect product: g (+)_{rho0^1 mu} W --mu x phi--> h (+)_{rho0^0} V
-    with action L_{(y,v)}(x,w) = (L_y x, rho0^1(y) w - rho1(x) v)."""
+    with action L_{(y,v)}(x,w) = (L_y x, rho0^1(y) w - rho1(x) v), the
+    extension by the zero 2-cochain."""
     assert r.source == x
     assert not validate_two_rep(r), "invalid 2-representation"
     t = r.target
     dg, dh, dw, dv = x.g.dim, x.h.dim, t.dim_w, t.dim_v
-
-    g_brackets = {}
-    dG = dg + dw
-    for i in range(dG):
-        for j in range(i + 1, dG):
-            vec = _semi_bracket_g(x, r, _unit(dG, i), _unit(dG, j))
-            if any(c != 0 for c in vec):
-                g_brackets[(i, j)] = vec
-    g_new = LieAlgebra(dG, g_brackets)
-
-    h_brackets = {}
-    dH = dh + dv
-    for i in range(dH):
-        for j in range(i + 1, dH):
-            vec = _semi_bracket_h(x, r, _unit(dH, i), _unit(dH, j))
-            if any(c != 0 for c in vec):
-                h_brackets[(i, j)] = vec
-    h_new = LieAlgebra(dH, h_brackets)
-
-    mu_new = Matrix.zero(dH, dG)
-    for a in range(dh):
-        for b in range(dg):
-            mu_new.data[a][b] = x.mu.data[a][b]
-    for a in range(dv):
-        for b in range(dw):
-            mu_new.data[dh + a][dg + b] = t.phi.data[a][b]
-
-    mats = []
-    for b in range(dH):
-        yv = _unit(dH, b)[:dh]
-        vv = _unit(dH, b)[dh:]
-        m = Matrix.zero(dG, dG)
-        l_y = x.action.act(yv)
-        rw = r.rho0_w.act(yv)
-        for a in range(dg):
-            for c in range(dg):
-                m.data[a][c] = l_y.data[a][c]
-        for a in range(dw):
-            for c in range(dw):
-                m.data[dg + a][dg + c] = rw.data[a][c]
-        for c in range(dg):
-            col = r.rho1[c].apply(vv)
-            for a in range(dw):
-                m.data[dg + a][c] = -col[a]
-        mats.append(m)
-    action = Representation(h_new, dG, mats)
-    out = CrossedModuleAlg(g_new, h_new, mu_new, action)
+    out = twisted_semidirect(x, r, [0] * (dh * (dh - 1) // 2 * dv),
+                             [0] * (dg * (dg - 1) // 2 * dw),
+                             [0] * (dh * dg * dw), Matrix.zero(dv, dg))
     assert not validate_crossed_module(out), "semidirect product failed validation"
     return out
-
-
-def _semi_bracket_g(x, r, u, v):
-    dg, dw = x.g.dim, r.target.dim_w
-    xu, wu = u[:dg], u[dg:]
-    xv, wv = v[:dg], v[dg:]
-    gx = x.g.bracket(xu, xv)
-    mu_u = x.mu.apply(xu)
-    mu_v = x.mu.apply(xv)
-    ww = [a - b for a, b in zip(r.rho0_w.act(mu_u).apply(wv),
-                                r.rho0_w.act(mu_v).apply(wu))]
-    return gx + ww
-
-
-def _semi_bracket_h(x, r, u, v):
-    dh = x.h.dim
-    yu, vu = u[:dh], u[dh:]
-    yv, vv = v[:dh], v[dh:]
-    hy = x.h.bracket(yu, yv)
-    vv_out = [a - b for a, b in zip(r.rho0_v.act(yu).apply(vv),
-                                    r.rho0_v.act(yv).apply(vu))]
-    return hy + vv_out
 
 
 def pullback_two_rep(r, x_big, proj_g, proj_h):

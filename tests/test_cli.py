@@ -187,6 +187,52 @@ def test_compare_classes(capsys):
     assert code == 0 and "cohomologous: no" in out
 
 
+GOLDEN_CENTRAL = [
+    (["extend", "--cocycle", "volume,zero_alpha,zero_phi"],
+     "extension e1 dim 0, e0 dim 3\n"
+     "e0 bracket [0,1] = ['0', '0', '-1']\n"
+     "CHECK cocycle_equations: PASS\n"
+     "CHECK extension_crossed_module: PASS\n"
+     "CHECK extension_rows_exact: PASS\n"),
+    (["split", "--cocycle", "volume,zero_alpha,zero_phi"],
+     "omega0 values: ['1']\n"
+     "alpha values: []\n"
+     "phimap (g columns): [[]]\n"
+     "CHECK cocycle_equations: PASS\n"
+     "CHECK extracted_cocycle_valid: PASS\n"
+     "CHECK canonical_splitting_round_trip: PASS\n"),
+    (["split", "--cocycle", "volume,zero_alpha,zero_phi", "--perturb", "3"],
+     "omega0 values: ['1']\n"
+     "alpha values: []\n"
+     "phimap (g columns): [[]]\n"
+     "CHECK cocycle_equations: PASS\n"
+     "CHECK extracted_cocycle_valid: PASS\n"
+     "CHECK perturbed_splitting_cohomologous: PASS\n"),
+    (["compare", "--left", "volume,zero_alpha,zero_phi",
+      "--right", "volume,zero_alpha,zero_phi"],
+     "cohomologous: yes\n"
+     "lambda0 = [['0', '0']]\n"
+     "lambda1 = []\n"
+     "CHECK cocycle_left_valid: PASS\n"
+     "CHECK cocycle_right_valid: PASS\n"
+     "CHECK compare_solved: PASS\n"),
+    (["compare", "--left", "volume,zero_alpha,zero_phi",
+      "--right", "volume2,zero_alpha,zero_phi"],
+     "cohomologous: no\n"
+     "CHECK cocycle_left_valid: PASS\n"
+     "CHECK cocycle_right_valid: PASS\n"
+     "CHECK compare_infeasible_certified: PASS\n"),
+]
+
+
+def test_extension_commands_golden(capsys):
+    """extend, split and compare print exactly the pinned lines."""
+    for args, expected in GOLDEN_CENTRAL:
+        code, out, _ = run(capsys, args[:1] + [CENTRAL] + args[1:])
+        assert code == 0, args
+        assert out == expected, args
+
+
 def test_missing_cochain_exit_two(capsys):
     code, _, err = run(capsys, ["extend", CENTRAL, "--cocycle",
                                 "nope,zero_alpha,zero_phi"])

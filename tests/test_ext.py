@@ -7,7 +7,8 @@ from lie2coh.numeric import Matrix, Q0, Q1
 from lie2coh.liealg import LieAlgebra, Representation, _unit
 from lie2coh.lie2 import (CrossedModuleAlg, TwoVectorSpace,
                           validate_crossed_module)
-from lie2coh.tworep import TwoRep, adjoint_rep, semidirect_2alg
+from lie2coh.tworep import (TwoRep, adjoint_rep, semidirect_2alg,
+                            twisted_semidirect)
 from lie2coh.lattice import LatticeContext
 from lie2coh.ext import (TwoCocycle, zero_cocycle, extension_from_cocycle,
                          canonical_splitting, cocycle_from_extension,
@@ -49,6 +50,41 @@ def test_zero_cocycle_gives_semidirect():
         assert ext.total.h.brackets == sd.h.brackets
         assert ext.total.mu == sd.mu
         assert ext.total.action.mats == sd.action.mats
+
+
+def test_twisted_extension_pinned():
+    """x = (aff(1) -id-> aff(1)) with its adjoint 2-representation and a
+    cocycle whose omega0, omega1, alpha and phi_g are all nonzero: the
+    brackets, epsilon and action of the twisted semidirect product are
+    pinned, so a sign flip of any twist term shows."""
+    h = LieAlgebra.aff1()
+    x = CrossedModuleAlg(h, h, Matrix.identity(2), Representation.adjoint(h))
+    ctx = LatticeContext(x, adjoint_rep(x))
+    coc = TwoCocycle(ctx, [-2, -1], [0, -1, -1, -1, 1, 1, 0, 1],
+                     Matrix(2, 2, [[1, 1], [1, 1]]))
+    assert coc.validate() == []
+    assert coc.omega1_values() == [-1, -2]
+    total = twisted_semidirect(x, ctx.rep, coc.omega0.values,
+                               coc.omega1_values(), coc.alpha.values,
+                               coc.phi_g)
+
+    def brackets(alg):
+        return {k: [str(Fraction(c)) for c in v]
+                for k, v in alg.brackets.items()}
+
+    assert brackets(total.g) == {(0, 1): ["0", "1", "1", "2"],
+                                 (0, 3): ["0", "0", "0", "1"],
+                                 (1, 2): ["0", "0", "0", "-1"]}
+    assert brackets(total.h) == {(0, 1): ["0", "1", "2", "1"],
+                                 (0, 3): ["0", "0", "0", "1"],
+                                 (1, 2): ["0", "0", "0", "-1"]}
+    assert repr(total.mu) == "Matrix(4x4: 1 0 0 0; 0 1 0 0; 1 1 1 0; 1 1 0 1)"
+    assert [repr(m) for m in total.action.mats] == [
+        "Matrix(4x4: 0 0 0 0; 0 1 0 0; 0 1 0 0; 1 1 0 1)",
+        "Matrix(4x4: 0 0 0 0; -1 0 0 0; -1 0 0 0; -1 -1 -1 0)",
+        "Matrix(4x4: 0 0 0 0; 0 0 0 0; 0 0 0 0; 0 1 0 0)",
+        "Matrix(4x4: 0 0 0 0; 0 0 0 0; 0 0 0 0; -1 0 0 0)"]
+    assert extension_from_cocycle(coc).total == total
 
 
 def test_heisenberg_central_extension():

@@ -10,6 +10,7 @@ from lie2coh.grp import (glphi_group, glphi1_exp, additive_group,
                          group_xmod_validate_sampled, lie_functor_extract,
                          lie_functor_matches_algebra, tautological_rep,
                          trivial_group_rep, gp2cocycle_residuals,
+                         GroupRepData,
                          homotopy_curvature_residual, random_group_cochain,
                          startop_relation_residual, atsch_iv_residual,
                          atsch_v_residual, GroupCochain, diff_cochain,
@@ -197,6 +198,21 @@ def test_curvature_vanishes():
     for v in (proj_phi(), TwoVectorSpace(2, 2, Matrix.zero(2, 2))):
         rep = tautological_rep(glphi_group(v))
         assert homotopy_curvature_residual(rep, samples=15, seed=12) <= 1e-12
+
+
+def test_curvature_detects_broken_rep():
+    """Representations that are not morphisms into GL(phi) have a visible
+    defect: rho0^W or rho1 scaled by 1.1 breaks multiplicativity and the
+    compatibilities with phi and i."""
+    for v in (proj_phi(), TwoVectorSpace(1, 1, Matrix(1, 1, [[1]]))):
+        gx = glphi_group(v)
+        good = tautological_rep(gx)
+        for rho1, rho0_w in ((good.rho1, lambda x: mscale(x[0], 1.1)),
+                             (lambda a: mscale(a, 1.1), good.rho0_w)):
+            broken = GroupRepData(gx, rho1, rho0_w, good.rho0_v, good.phi,
+                                  good.dim_w, good.dim_v)
+            assert homotopy_curvature_residual(broken, samples=15,
+                                               seed=12) > 1e-3
 
 
 def test_van_est_r_linear_examples():
