@@ -27,6 +27,26 @@ class InputError(Exception):
     pass
 
 
+def _parse_rat(x, where):
+    """One exact rational coefficient of the input; where names it."""
+    try:
+        return rat(x)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise InputError("%s: %s" % (where, exc))
+
+
+def _as_int(value, where):
+    """An integer setting (an integer or a string holding one)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InputError("%s: expected an integer, got %r" % (where, value))
+
+
 def _parse_matrix(data, rows, cols, where):
     if len(data) != rows:
         raise InputError("%s: expected %d rows, got %d" % (where, rows,
@@ -36,10 +56,8 @@ def _parse_matrix(data, rows, cols, where):
         if len(row) != cols:
             raise InputError("%s: row %d has %d entries, expected %d"
                              % (where, r, len(row), cols))
-        try:
-            out.append([rat(x) for x in row])
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
-            raise InputError("%s: row %d: %s" % (where, r, exc))
+        where_row = "%s: row %d" % (where, r)
+        out.append([_parse_rat(x, where_row) for x in row])
     return Matrix(rows, cols, out)
 
 
@@ -58,7 +76,8 @@ def _parse_algebra(data, where):
         if len(vec) != dim:
             raise InputError("%s: bracket %r has %d coefficients, expected %d"
                              % (where, key, len(vec), dim))
-        brackets[(i, j)] = [rat(x) for x in vec]
+        where_key = "%s: bracket %r" % (where, key)
+        brackets[(i, j)] = [_parse_rat(x, where_key) for x in vec]
     return LieAlgebra(dim, brackets)
 
 
@@ -122,7 +141,9 @@ class ProblemFile:
                     or not isinstance(vals, list)):
                 raise InputError("cochains.%s: need index [p,q,r] and values"
                                  % name)
-            self.cochains[name] = (tuple(idx), [rat(x) for x in vals])
+            self.cochains[name] = (tuple(idx), [
+                _parse_rat(x, "cochains.%s.values[%d]" % (name, k))
+                for k, x in enumerate(vals)])
 
     def context(self):
         if self.two_rep is None:
@@ -174,7 +195,7 @@ def default_seed(args):
     if args.seed is not None:
         return args.seed
     env = os.environ.get("LIE2COH_SEED")
-    return int(env) if env else 0
+    return _as_int(env, "LIE2COH_SEED") if env else 0
 
 
 # -- commands ----------------------------------------------------------------
@@ -247,11 +268,12 @@ def cmd_nabla_check(args):
     pf = load_problem(args.file)
     # the problem file's options section supplies defaults for the flags
     if args.seed is None and "seed" in pf.options:
-        args.seed = int(pf.options["seed"])
+        args.seed = _as_int(pf.options["seed"], "options.seed")
     if args.max_degree is None:
-        args.max_degree = int(pf.options.get("max_degree", 3))
+        args.max_degree = _as_int(pf.options.get("max_degree", 3),
+                                  "options.max_degree")
     if args.trials is None:
-        args.trials = int(pf.options.get("trials", 0))
+        args.trials = _as_int(pf.options.get("trials", 0), "options.trials")
     seed = default_seed(args)
     report = []
     max_degree = args.max_degree
@@ -416,6 +438,11 @@ def cmd_group_checks(args):
     if args.scenario not in grp.SCENARIOS:
         raise InputError("unknown scenario %r (known: %s)"
                          % (args.scenario, ", ".join(sorted(grp.SCENARIOS))))
+    if args.trials < 1:
+        raise InputError("--trials must be at least 1, got %d" % args.trials)
+    if args.dims and min(args.dims) < 1:
+        raise InputError("--dims entries must be at least 1, got %d %d"
+                         % tuple(args.dims))
     seed = default_seed(args)
     kwargs = {"trials": args.trials, "seed": seed, "tol": args.tolerance}
     if args.dims:

@@ -54,9 +54,6 @@ class TwoCocycle:
     def alpha_of(self, yvec, xvec):
         return self.alpha.evaluate([yvec], [xvec])
 
-    def omega0_of(self, y0, y1):
-        return self.omega0.evaluate([y0, y1], [])
-
     def derived_omega1(self, x0, x1):
         """rho1(x1) phi(x0) + alpha(mu x0; x1)."""
         ctx = self.ctx

@@ -5,12 +5,21 @@ van Est operators.
 
 All derivatives run through jets (never finite differences); group
 elements are explicit matrices, GL(phi)-pairs, or additive vectors.
+
+``mexp`` and ``glphi1_exp`` sum one series, ``_series``, which stops at
+the first term that changes no entry of the sum (a float term t when
+o + t == o, a jet term when no coefficient is left; on a nilpotent jet
+after order + 1 terms) and after ``terms`` terms at most.  The group
+lattice maps are one table, ``_KINDS``: kind -> (pointwise formula,
+(dp, dq, dr) shift of the index), read by ``group_cochain_diff`` and
+``diff_cochain``.
 """
 
+import itertools
 import math
 import random
 
-from .numeric import Jet, jet_exp, Matrix, rank_and_kernel
+from .numeric import Jet, Matrix
 from .lie2 import TwoVectorSpace, gl_phi
 
 # ---------------------------------------------------------------------------
@@ -35,10 +44,6 @@ def madd(a, b):
 
 def msub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mneg(a):
-    return [[-x for x in row] for row in a]
 
 
 def mscale(a, c):
@@ -66,6 +71,11 @@ def _const_of(x):
     return x.const if isinstance(x, Jet) else x
 
 
+def _coefficient(x, key):
+    """The coefficient of a jet entry at key; a float entry has none."""
+    return x.coefficient(key) if isinstance(x, Jet) else 0.0
+
+
 def minv(a):
     """Inverse by Gaussian elimination; jet entries pivot on the constant
     part and divide through jet reciprocals."""
@@ -87,59 +97,48 @@ def minv(a):
     return [row[n:] for row in work]
 
 
-def mexp(a, terms=30):
-    """Matrix exponential by plain series; fine at desk-scale norms and
-    exact on jet matrices whose entries have zero constant part."""
-    n = len(a)
-    out = meye(n)
-    term = meye(n)
+def _absorbed(o, t):
+    """Whether adding the term entry t leaves the sum entry o as it is."""
+    if isinstance(t, Jet):
+        return not t.coeffs
+    return t == 0.0 or o + t == o
+
+
+def _series(x, shift, terms):
+    """sum_k x^k shift! / (k + shift)! for a square x, identity first.
+
+    Term k is term k-1 times x / (k + shift); the loop stops at the first
+    term that changes no entry of the sum, after ``terms`` terms at most.
+    """
+    out = meye(len(x))
+    term = meye(len(x))
     for k in range(1, terms + 1):
-        term = mscale(mmul(term, a), 1.0 / k)
+        term = mscale(mmul(term, x), 1.0 / (k + shift))
+        if all(_absorbed(o, t) for row_o, row_t in zip(out, term)
+               for o, t in zip(row_o, row_t)):
+            break
         out = madd(out, term)
     return out
 
 
-def mmax(a):
-    best = 0.0
-    for row in a:
-        for x in row:
-            v = abs(_const_of(x)) if isinstance(x, Jet) else abs(x)
-            best = max(best, v)
-    return best
+def mexp(a, terms=30):
+    """Matrix exponential by plain series (at most ``terms`` terms); fine
+    at desk-scale norms and exact on jet matrices whose entries have zero
+    constant part."""
+    return _series(a, 0, terms)
 
 
 def vmax(v):
-    return max((abs(_const_of(x)) if isinstance(x, Jet) else abs(x)
-                for x in v), default=0.0)
+    return max((abs(_const_of(x)) for x in v), default=0.0)
 
 
 def residual(a, b):
-    return mmax(msub(a, b))
+    return vmax([x for row in msub(a, b) for x in row])
 
 
 def to_float_matrix(m):
     """Exact rational Matrix -> float list-of-lists."""
     return [[float(x) for x in row] for row in m.data]
-
-
-def fsolve(a, b):
-    """Float least-squares solve via normal equations (full column rank)."""
-    at = [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
-    ata = mmul(at, a)
-    atb = mapply(at, b)
-    n = len(ata)
-    work = [row[:] + [atb[i]] for i, row in enumerate(ata)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda i: abs(work[i][col]))
-        assert abs(work[piv][col]) > 1e-12, "rank-deficient chart"
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1.0 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for i in range(n):
-            if i != col:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return [work[i][n] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +191,7 @@ class GroupXModData:
 
 def glphi1_exp(a, phi, terms=30):
     """exp of GL(phi)_1: A sum_n (phi A)^n / (n+1)!."""
-    dv = len(phi)
-    acc = meye(dv)
-    term = meye(dv)
-    phi_a = mmul(phi, a)
-    for n in range(1, terms + 1):
-        term = mscale(mmul(term, phi_a), 1.0 / (n + 1))
-        acc = madd(acc, term)
-    return mmul(a, acc)
+    return mmul(a, _series(mmul(phi, a), 1, terms))
 
 
 def glphi_group(v):
@@ -224,7 +216,7 @@ def glphi_group(v):
         return madd(madd(a, b), mmul(a, mmul(phi, b)))
 
     def inv_g(a):
-        return mneg(mmul(a, minv(madd(meye(dv), mmul(phi, a)))))
+        return mscale(mmul(a, minv(madd(meye(dv), mmul(phi, a)))), -1.0)
 
     def mul_h(x, y):
         return (mmul(x[0], y[0]), mmul(x[1], y[1]))
@@ -256,23 +248,18 @@ def glphi_group(v):
         return ([x[0][i][j] for i in range(dw) for j in range(dw)]
                 + [x[1][i][j] for i in range(dv) for j in range(dv)])
 
-    basis_cols = [([bf[i][j] for i in range(dw) for j in range(dw)]
-                   + [bs[i][j] for i in range(dv) for j in range(dv)])
-                  for (bf, bs) in h_basis]
-    basis_matrix = [[basis_cols[k][i] for k in range(dim_h)]
-                    for i in range(dw * dw + dv * dv)] if dim_h else []
-
-    def coeff_of(x, key):
-        return x.coefficient(key) if isinstance(x, Jet) else 0.0
+    # the chart B has the flattened h_basis as columns; tangent_h applies
+    # its least-squares left inverse (B^T B)^-1 B^T
+    chart_t = [flatten_h(pair) for pair in h_basis]
+    left_inverse = mmul(minv(mmul(chart_t, [list(col) for col
+                                            in zip(*chart_t)])), chart_t)
 
     def tangent_g(a, key):
-        return [coeff_of(x, key) for x in flatten_g(a)]
+        return [_coefficient(x, key) for x in flatten_g(a)]
 
     def tangent_h(x, key):
-        flat = [coeff_of(e, key) for e in flatten_h(x)]
-        if not dim_h:
-            return []
-        return fsolve(basis_matrix, flat)
+        return mapply(left_inverse,
+                      [_coefficient(e, key) for e in flatten_h(x)])
 
     def sample_g(rng, scale=0.4):
         return unflatten_a([scale * (2 * rng.random() - 1)
@@ -301,10 +288,7 @@ def additive_group(dim_g, dim_h, i_matrix=None):
     def ident(vec):
         return list(vec)
 
-    def coeff_of(x, key):
-        return x.coefficient(key) if isinstance(x, Jet) else 0.0
-
-    gx = GroupXModData(
+    return GroupXModData(
         dim_g, dim_h,
         lambda a, b: [x + y for x, y in zip(a, b)],
         lambda a: [-x for x in a],
@@ -315,13 +299,12 @@ def additive_group(dim_g, dim_h, i_matrix=None):
         lambda g: mapply(i_matrix, g),
         lambda g, h: list(g),
         ident, ident, ident, ident,
-        lambda g, key: [coeff_of(x, key) for x in g],
-        lambda h, key: [coeff_of(x, key) for x in h],
+        lambda g, key: [_coefficient(x, key) for x in g],
+        lambda h, key: [_coefficient(x, key) for x in h],
         lambda rng, scale=1.0: [scale * (2 * rng.random() - 1)
                                 for _ in range(dim_g)],
         lambda rng, scale=1.0: [scale * (2 * rng.random() - 1)
                                 for _ in range(dim_h)])
-    return gx
 
 
 def _elem_residual(gx, kind, a, b):
@@ -333,28 +316,25 @@ def _elem_residual(gx, kind, a, b):
 def group_xmod_validate_sampled(gx, samples=20, seed=0, scale=0.4):
     """Max residual per crossed-module axiom over seeded random samples."""
     rng = random.Random(seed)
-    out = {"i_homomorphism": 0.0, "action_automorphism": 0.0,
-           "right_action": 0.0, "equivariance": 0.0, "peiffer": 0.0}
+    out = dict.fromkeys(("i_homomorphism", "action_automorphism",
+                         "right_action", "equivariance", "peiffer"), 0.0)
     for _ in range(samples):
         g1 = gx.sample_g(rng, scale)
         g2 = gx.sample_g(rng, scale)
         h1 = gx.sample_h(rng, scale)
         h2 = gx.sample_h(rng, scale)
-        out["i_homomorphism"] = max(out["i_homomorphism"], _elem_residual(
-            gx, "h", gx.i(gx.mul_g(g1, g2)), gx.mul_h(gx.i(g1), gx.i(g2))))
-        out["action_automorphism"] = max(
-            out["action_automorphism"], _elem_residual(
-                gx, "g", gx.act(gx.mul_g(g1, g2), h1),
-                gx.mul_g(gx.act(g1, h1), gx.act(g2, h1))))
-        out["right_action"] = max(out["right_action"], _elem_residual(
-            gx, "g", gx.act(g1, gx.mul_h(h1, h2)),
-            gx.act(gx.act(g1, h1), h2)))
-        out["equivariance"] = max(out["equivariance"], _elem_residual(
-            gx, "h", gx.i(gx.act(g1, h1)),
-            gx.mul_h(gx.inv_h(h1), gx.mul_h(gx.i(g1), h1))))
-        out["peiffer"] = max(out["peiffer"], _elem_residual(
-            gx, "g", gx.act(g1, gx.i(g2)),
-            gx.mul_g(gx.inv_g(g2), gx.mul_g(g1, g2))))
+        for name, kind, lhs, rhs in (
+                ("i_homomorphism", "h", gx.i(gx.mul_g(g1, g2)),
+                 gx.mul_h(gx.i(g1), gx.i(g2))),
+                ("action_automorphism", "g", gx.act(gx.mul_g(g1, g2), h1),
+                 gx.mul_g(gx.act(g1, h1), gx.act(g2, h1))),
+                ("right_action", "g", gx.act(g1, gx.mul_h(h1, h2)),
+                 gx.act(gx.act(g1, h1), h2)),
+                ("equivariance", "h", gx.i(gx.act(g1, h1)),
+                 gx.mul_h(gx.inv_h(h1), gx.mul_h(gx.i(g1), h1))),
+                ("peiffer", "g", gx.act(g1, gx.i(g2)),
+                 gx.mul_g(gx.inv_g(g2), gx.mul_g(g1, g2)))):
+            out[name] = max(out[name], _elem_residual(gx, kind, lhs, rhs))
     return out
 
 
@@ -420,16 +400,13 @@ def lie_functor_matches_algebra(gx, tol=1e-6):
     worst = 0.0
     exact_mu = to_float_matrix(alg.mu)
     worst = max(worst, residual(data["mu"], exact_mu))
-    for a in range(gx.dim_g):
-        for b in range(gx.dim_g):
-            exact = [float(c) for c in alg.g.basis_bracket(a, b)]
-            worst = max(worst, vmax([x - y for x, y in
-                                     zip(data["bracket_g"][a][b], exact)]))
-    for a in range(gx.dim_h):
-        for b in range(gx.dim_h):
-            exact = [float(c) for c in alg.h.basis_bracket(a, b)]
-            worst = max(worst, vmax([x - y for x, y in
-                                     zip(data["bracket_h"][a][b], exact)]))
+    for bracket, algebra in ((data["bracket_g"], alg.g),
+                             (data["bracket_h"], alg.h)):
+        for a in range(algebra.dim):
+            for b in range(algebra.dim):
+                exact = [float(c) for c in algebra.basis_bracket(a, b)]
+                worst = max(worst, vmax([x - y for x, y in
+                                         zip(bracket[a][b], exact)]))
     for b in range(gx.dim_h):
         worst = max(worst, residual(data["action"][b],
                                     to_float_matrix(alg.action.mats[b])))
@@ -486,10 +463,8 @@ class GpPoint:
 
 def gp_arrow_base(gx, pt, a):
     """The h-component of the a-th arrow of pt."""
-    acc = gx.one_h
-    for k in range(len(pt.gs) - 1, a, -1):
-        acc = gx.mul_h(acc, gx.i(pt.gs[k]))
-    return gx.mul_h(pt.h, acc)
+    return gx.mul_h(pt.h, gx.prod_h(gx.i(pt.gs[k]) for k
+                                    in range(len(pt.gs) - 1, a, -1)))
 
 
 def gp_arrow(gx, pt, a):
@@ -498,10 +473,7 @@ def gp_arrow(gx, pt, a):
 
 def gp_target(gx, pt):
     """Final target t_p: h i(g_{m-1} ... g_0)."""
-    acc = gx.one_g
-    for k in range(len(pt.gs) - 1, -1, -1):
-        acc = gx.mul_g(acc, pt.gs[k])
-    return gx.mul_h(pt.h, gx.i(acc))
+    return gx.mul_h(pt.h, gx.i(gx.prod_g(reversed(pt.gs))))
 
 
 def gp_face(gx, pt, k):
@@ -539,13 +511,11 @@ def gp_sample(gx, rng, m, scale=0.4):
 def _zero_arrow_product(gx, gammas):
     """pr_G of the vertical product of the 0-th arrows of the given
     G_{p+1}-points (identity on the empty list)."""
-    arrows = [gp_arrow(gx, g, 0) for g in gammas]
-    acc_g, acc_h = gx.one_g, gx.one_h
-    for (g, h) in arrows:
-        # (g1, h1) *v (g2, h2) = (g1^{h2} g2, h1 h2)
-        acc_g = gx.mul_g(gx.act(acc_g, h), g)
-        acc_h = gx.mul_h(acc_h, h)
-    return acc_g
+    acc = gx.one_g
+    for (g, h) in (gp_arrow(gx, pt, 0) for pt in gammas):
+        # pr_G of (g1, h1) *v (g2, h2) = (g1^{h2} g2, h1 h2)
+        acc = gx.mul_g(gx.act(acc, h), g)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -566,28 +536,6 @@ class GroupCochain:
         for g in gammas:
             assert g.level == self.p
         return self.fn(gammas, fs)
-
-
-def group_cochain_diff(rep, kind, c, gammas, fs):
-    """Evaluate one component differential / difference map of the group
-    lattice at the given point.  The point arity matches the target of
-    the map; derivative-free formulas, evaluated on explicit elements."""
-    gx = rep.gx
-    if kind == "delta":
-        return _gd_delta(rep, c, gammas, fs)
-    if kind == "partial":
-        return _gd_partial(rep, c, gammas, fs)
-    if kind == "deltaPrime":
-        return _gd_delta_prime(rep, c, gammas, fs)
-    if kind == "delta1":
-        return _gd_delta_one(rep, c, gammas, fs)
-    if kind == "Delta":
-        return _gd_first_difference(rep, c, gammas, fs)
-    if kind == "Delta2q":
-        return _gd_delta2q(rep, c, gammas, fs)
-    if kind == "Delta2p":
-        return _gd_delta2p(rep, c, gammas, fs)
-    raise ValueError("unknown kind %r" % (kind,))
 
 
 def _vadd(a, b):
@@ -651,9 +599,7 @@ def _gd_delta_prime(rep, c, gammas, fs):
     gx = rep.gx
     assert c.r == 0 and len(fs) == 1
     base = c(gammas, [])
-    acc = gx.one_h
-    for g in gammas:
-        acc = gx.mul_h(acc, gp_target(gx, g))
+    acc = gx.prod_h(gp_target(gx, g) for g in gammas)
     return mapply(minv(rep.rho0_w(acc)), mapply(rep.rho1(fs[0]), base))
 
 
@@ -662,9 +608,7 @@ def _gd_delta_one(rep, c, gammas, fs):
     gx = rep.gx
     r = c.r
     assert r >= 1 and len(fs) == r + 1
-    acc = gx.one_h
-    for g in gammas:
-        acc = gx.mul_h(acc, gp_target(gx, g))
+    acc = gx.prod_h(gp_target(gx, g) for g in gammas)
     tw = rep.rho0_w(gx.i(gx.act(fs[0], acc)))
     out = mapply(tw, c(gammas, fs[1:]))
     for k in range(1, r + 1):
@@ -674,6 +618,14 @@ def _gd_delta_one(rep, c, gammas, fs):
     last = c(gammas, fs[:-1])
     out = _vadd(out, last) if (r + 1) % 2 == 0 else _vsub(out, last)
     return out
+
+
+def _front_page(rep, c, faced, skip, args):
+    """The phi-composed formula of the maps landing on the front page
+    r = 0: rho0^V(prod_b t_p(faced_b)) phi c(faced[skip:]; args)."""
+    gx = rep.gx
+    twist = rep.rho0_v(gx.prod_h(gp_target(gx, g) for g in faced))
+    return mapply(twist, mapply(rep.phi, c(faced[skip:], args)))
 
 
 def _delta_n_point(gx, arrow, fs, n):
@@ -697,21 +649,15 @@ def _gd_first_difference(rep, c, gammas, fs):
     assert len(gammas) == q + 1
     if r == 1:
         assert not fs
-        acc = gx.one_h
-        for g in gammas:
-            acc = gx.mul_h(acc, gp_target(gx, gp_face(gx, g, 0)))
-        inner = c([gp_face(gx, g, 0) for g in gammas[1:]],
-                  [gammas[0].gs[0]])
-        return mapply(rep.rho0_v(acc), mapply(rep.phi, inner))
+        return _front_page(rep, c, [gp_face(gx, g, 0) for g in gammas], 1,
+                           [gammas[0].gs[0]])
     t = r - 1
     assert len(fs) == t
     g00, h00 = gp_arrow(gx, gammas[0], 0)
     faced = [gp_face(gx, g, 0) for g in gammas[1:]]
     outer = minv(rep.rho0_w(gx.i(_zero_arrow_product(gx, gammas[1:]))))
     # conjugator of g00 by the h-parts of the zero arrows of gamma_1..q
-    conj = gx.one_h
-    for g in gammas[1:]:
-        conj = gx.mul_h(conj, gp_arrow(gx, g, 0)[1])
+    conj = gx.prod_h(gp_arrow_base(gx, g, 0) for g in gammas[1:])
     lead = mapply(minv(rep.rho0_w(gx.i(gx.act(g00, conj)))),
                   c(faced, [gx.act(f, h00) for f in fs] + [g00]))
     out = lead
@@ -729,49 +675,46 @@ def _gd_first_difference(rep, c, gammas, fs):
 def _gd_delta2q(rep, c, gammas, fs):
     """Second difference landing on the front page along p (IV atSch)."""
     gx = rep.gx
-    q = c.q
-    assert c.r == 2 and not fs and len(gammas) == q + 1
-    acc = gx.one_h
-    for g in gammas:
-        acc = gx.mul_h(acc, gp_target(gx, gp_face(gx, gp_face(gx, g, 0), 0)))
-    g00 = gammas[0].gs[0]
-    g10 = gammas[0].gs[1]
-    inner = c([gp_face(gx, gp_face(gx, g, 0), 0) for g in gammas[1:]],
-              [g10, g00])
-    return mapply(rep.rho0_v(acc), mapply(rep.phi, inner))
+    assert c.r == 2 and not fs and len(gammas) == c.q + 1
+    faced = [gp_face(gx, gp_face(gx, g, 0), 0) for g in gammas]
+    return _front_page(rep, c, faced, 1, [gammas[0].gs[1], gammas[0].gs[0]])
 
 
 def _gd_delta2p(rep, c, gammas, fs):
     """Second difference landing on the front page along q (V atSch)."""
     gx = rep.gx
-    q = c.q
-    assert c.r == 2 and not fs and len(gammas) == q + 2
-    acc = gx.one_h
-    for g in gammas:
-        acc = gx.mul_h(acc, gp_target(gx, gp_face(gx, g, 0)))
-    g00 = gammas[0].gs[0]
-    g01 = gammas[1].gs[0]
-    h01 = gp_arrow(gx, gammas[1], 0)[1]
-    inner = c([gp_face(gx, g, 0) for g in gammas[2:]],
-              [gx.act(g00, h01), g01])
-    return mapply(rep.rho0_v(acc), mapply(rep.phi, inner))
+    assert c.r == 2 and not fs and len(gammas) == c.q + 2
+    h01 = gp_arrow_base(gx, gammas[1], 0)
+    return _front_page(rep, c, [gp_face(gx, g, 0) for g in gammas], 2,
+                       [gx.act(gammas[0].gs[0], h01), gammas[1].gs[0]])
+
+
+# kind -> (pointwise formula, (dp, dq, dr) from source to target index)
+_KINDS = {
+    "delta": (_gd_delta, (0, 1, 0)),
+    "partial": (_gd_partial, (1, 0, 0)),
+    "deltaPrime": (_gd_delta_prime, (0, 0, 1)),
+    "delta1": (_gd_delta_one, (0, 0, 1)),
+    "Delta": (_gd_first_difference, (1, 1, -1)),
+    "Delta2q": (_gd_delta2q, (2, 1, -2)),
+    "Delta2p": (_gd_delta2p, (1, 2, -2)),
+}
+
+
+def group_cochain_diff(rep, kind, c, gammas, fs):
+    """Evaluate one component differential / difference map of the group
+    lattice at the given point.  The point arity matches the target of
+    the map; derivative-free formulas, evaluated on explicit elements."""
+    if kind not in _KINDS:
+        raise ValueError("unknown kind %r" % (kind,))
+    return _KINDS[kind][0](rep, c, gammas, fs)
 
 
 def diff_cochain(rep, kind, c):
     """Package a component differential as a new GroupCochain."""
-    targets = {
-        "delta": (c.p, c.q + 1, c.r),
-        "partial": (c.p + 1, c.q, c.r),
-        "deltaPrime": (c.p, c.q, 1),
-        "delta1": (c.p, c.q, c.r + 1),
-        "Delta": (c.p + 1, c.q + 1, c.r - 1),
-        "Delta2q": (c.p + 2, c.q + 1, 0),
-        "Delta2p": (c.p + 1, c.q + 2, 0),
-    }
-    p, q, r = targets[kind]
-    return GroupCochain(p, q, r,
-                        lambda gammas, fs: group_cochain_diff(
-                            rep, kind, c, gammas, fs))
+    formula, (dp, dq, dr) = _KINDS[kind]
+    return GroupCochain(c.p + dp, c.q + dq, c.r + dr,
+                        lambda gammas, fs: formula(rep, c, gammas, fs))
 
 
 # ---------------------------------------------------------------------------
@@ -890,19 +833,45 @@ class VanEstCochain:
     q-slots (level-p nerve points) and the r-slots (G-elements).
 
     For p = 0 the q-slots exponentiate through exp_h; for p >= 1 supply
-    exp_gp explicitly (a map from g_p-coordinates to GpPoint).
+    exp_gp explicitly (a map from g_p-coordinates to GpPoint).  A cochain
+    made by ``van_est_r`` keeps the underived cochain as ``root`` and the
+    (slot, direction) pairs derived so far, in order, as ``chain``.
     """
 
-    def __init__(self, gx, p, q, r, fn, exp_gp=None):
+    def __init__(self, gx, p, q, r, fn, exp_gp=None, root=None, chain=()):
         self.gx = gx
         self.p, self.q, self.r = p, q, r
         self.fn = fn
         if exp_gp is None and p == 0:
             exp_gp = lambda vec: GpPoint([], gx.exp_h(vec))
         self.exp_gp = exp_gp
+        self.root = self if root is None else root
+        self.chain = list(chain)
 
     def __call__(self, gammas, fs):
         return self.fn(gammas, fs)
+
+
+def _jet_derivative(root, chain, gammas, fs):
+    """The mixed derivative of root along the (slot, direction) pairs of
+    chain, with gammas and fs in the slots left over: pair i moves its
+    first free slot along exp(tau_i direction), and the coefficient of
+    tau_0 ... tau_{n-1} of one n-variable jet evaluation is read off.  An
+    empty chain gives the value of root itself."""
+    n = len(chain)
+    assert n <= 3, "jet-order bound exceeded (q + r <= 3)"
+    gam_ins, f_ins = [], []
+    for i, (slot, vec) in enumerate(chain):
+        tau = Jet.variable(i, n, n)
+        scaled = [tau * x for x in vec]
+        if slot == "g":
+            f_ins.append(root.gx.exp_g(scaled))
+        else:
+            gam_ins.append(root.exp_gp(scaled))
+    val = root(gam_ins + list(gammas), f_ins + list(fs))
+    if not chain:
+        return val
+    return [_coefficient(x, (1,) * n) for x in val]
 
 
 def van_est_r(cochain, direction, slot="g"):
@@ -911,42 +880,19 @@ def van_est_r(cochain, direction, slot="g"):
     Consumes the first slot of the chosen group; derivatives are exact
     through a one-variable jet per application (nesting allocates fresh
     jet variables, bounded by 3)."""
-    base = cochain
-    chain = getattr(base, "_r_chain", None)
-    if chain is None:
-        chain = []
-        root = base
-    else:
-        root = base._r_root
-    new_chain = chain + [(slot, list(direction))]
-    depth = len(new_chain)
-    assert depth <= 3, "jet-order bound exceeded (q + r <= 3)"
+    root = cochain.root
+    chain = cochain.chain + [(slot, list(direction))]
+    assert len(chain) <= 3, "jet-order bound exceeded (q + r <= 3)"
     if slot == "g":
         assert cochain.r >= 1, "no G-slot left to derive"
         p, q, r = cochain.p, cochain.q, cochain.r - 1
     else:
         assert cochain.q >= 1, "no nerve slot left to derive"
         p, q, r = cochain.p, cochain.q - 1, cochain.r
-
-    def fn(gammas, fs):
-        n = depth
-        gam_ins, f_ins = [], []
-        for i, (sl, vec) in enumerate(new_chain):
-            tau = Jet.variable(i, n, n)
-            scaled = [tau * x for x in vec]
-            if sl == "g":
-                f_ins.append(root.gx.exp_g(scaled))
-            else:
-                gam_ins.append(root.exp_gp(scaled))
-        val = root(gam_ins + list(gammas), f_ins + list(fs))
-        key = (1,) * n
-        return [x.coefficient(key) if isinstance(x, Jet) else 0.0
-                for x in val]
-
-    out = VanEstCochain(root.gx, p, q, r, fn, exp_gp=root.exp_gp)
-    out._r_chain = new_chain
-    out._r_root = root
-    return out
+    return VanEstCochain(
+        root.gx, p, q, r,
+        lambda gammas, fs: _jet_derivative(root, chain, gammas, fs),
+        exp_gp=root.exp_gp, root=root, chain=chain)
 
 
 def van_est_phi(cochain, xi_args, x_args):
@@ -958,20 +904,17 @@ def van_est_phi(cochain, xi_args, x_args):
     total = None
     for sigma, s_sign in _signed_permutations(q):
         for rho, r_sign in _signed_permutations(r):
-            work = cochain
             # R_{x_rho(1)} first, then up; then the xi-slots
-            for k in range(r):
-                work = van_est_r(work, x_args[rho[k]], slot="g")
-            for k in range(q):
-                work = van_est_r(work, xi_args[sigma[k]], slot="h")
-            val = work([], [])
+            chain = (cochain.chain
+                     + [("g", list(x_args[k])) for k in rho]
+                     + [("h", list(xi_args[k])) for k in sigma])
+            val = _jet_derivative(cochain.root, chain, [], [])
             val = [s_sign * r_sign * x for x in val]
             total = val if total is None else _vadd(total, val)
     return total
 
 
 def _signed_permutations(n):
-    import itertools
     out = []
     for perm in itertools.permutations(range(n)):
         sign = 1
@@ -1040,66 +983,73 @@ def random_group_cochain(rep, p, q, r, rng, terms=2, span=1.0):
     return GroupCochain(p, q, r, fn)
 
 
+def _maps(rep, c, *kinds):
+    """c followed by the named maps, the first named applied first."""
+    for kind in kinds:
+        c = diff_cochain(rep, kind, c)
+    return c
+
+
+def _sampled_relation(rep, index, shape, samples, seed, scale, relation):
+    """Worst sampled residual of a pointwise relation between maps out of
+    C^{p,q}_r, index = (p, q, r).  Each sample draws, in this order, a
+    random cochain c there, then the point: shape = (level, points, n_fs)
+    asks for that many nerve points of that level and n_fs G-elements.
+    relation(c, gammas, fs) returns the vector lhs - rhs."""
+    gx = rep.gx
+    level, points, n_fs = shape
+    rng = random.Random(seed)
+    worst = 0.0
+    for _ in range(samples):
+        c = random_group_cochain(rep, *index, rng)
+        gammas = [gp_sample(gx, rng, level, scale) for _ in range(points)]
+        fs = [gx.sample_g(rng, scale) for _ in range(n_fs)]
+        worst = max(worst, vmax(relation(c, gammas, fs)))
+    return worst
+
+
 def startop_relation_residual(rep, r, samples=10, seed=0, scale=0.35,
                               p=0, q=0):
     """(-1)^r (delta partial - partial delta) = Delta delta1 - delta1 Delta
     on C^{p,q}_r, evaluated pointwise at random samples."""
-    gx = rep.gx
-    rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(samples):
-        c = random_group_cochain(rep, p, q, r, rng)
-        gammas = [gp_sample(gx, rng, p + 1, scale) for _ in range(q + 1)]
-        fs = [gx.sample_g(rng, scale) for _ in range(r)]
-        dp = diff_cochain(rep, "delta", diff_cochain(rep, "partial", c))
-        pd = diff_cochain(rep, "partial", diff_cochain(rep, "delta", c))
-        lhs = _vsub(dp(gammas, fs), pd(gammas, fs))
+    first = "delta1" if r >= 1 else "deltaPrime"
+    after = "deltaPrime" if r == 1 else "delta1"
+
+    def relation(c, gammas, fs):
+        lhs = _vsub(_maps(rep, c, "partial", "delta")(gammas, fs),
+                    _maps(rep, c, "delta", "partial")(gammas, fs))
         if r % 2 == 1:
             lhs = _vneg(lhs)
-        d1 = diff_cochain(rep, "delta1" if r >= 1 else "deltaPrime", c)
-        t1 = diff_cochain(rep, "Delta", d1)(gammas, fs)
-        big_delta = diff_cochain(rep, "Delta", c)
-        if r == 1:
-            t2 = diff_cochain(rep, "deltaPrime", big_delta)(gammas, fs)
-        else:
-            t2 = diff_cochain(rep, "delta1", big_delta)(gammas, fs)
-        rhs = _vsub(t1, t2)
-        worst = max(worst, vmax(_vsub(lhs, rhs)))
-    return worst
+        rhs = _vsub(_maps(rep, c, first, "Delta")(gammas, fs),
+                    _maps(rep, c, "Delta", after)(gammas, fs))
+        return _vsub(lhs, rhs)
+
+    return _sampled_relation(rep, (p, q, r), (p + 1, q + 1, r), samples,
+                             seed, scale, relation)
 
 
 def atsch_iv_residual(rep, p, q, samples=10, seed=0, scale=0.35):
     """partial Delta + Delta partial = Delta_2^q delta1 on C^{p,q}_1."""
-    gx = rep.gx
-    rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(samples):
-        c = random_group_cochain(rep, p, q, 1, rng)
-        gammas = [gp_sample(gx, rng, p + 2, scale) for _ in range(q + 1)]
-        t1 = diff_cochain(rep, "partial", diff_cochain(rep, "Delta", c))
-        t2 = diff_cochain(rep, "Delta", diff_cochain(rep, "partial", c))
-        lhs = _vadd(t1(gammas, []), t2(gammas, []))
-        rhs = diff_cochain(rep, "Delta2q", diff_cochain(rep, "delta1", c))(
-            gammas, [])
-        worst = max(worst, vmax(_vsub(lhs, rhs)))
-    return worst
+
+    def relation(c, gammas, fs):
+        lhs = _vadd(_maps(rep, c, "Delta", "partial")(gammas, fs),
+                    _maps(rep, c, "partial", "Delta")(gammas, fs))
+        return _vsub(lhs, _maps(rep, c, "delta1", "Delta2q")(gammas, fs))
+
+    return _sampled_relation(rep, (p, q, 1), (p + 2, q + 1, 0), samples,
+                             seed, scale, relation)
 
 
 def atsch_v_residual(rep, p, q, samples=10, seed=0, scale=0.35):
     """delta Delta + Delta delta = Delta_2^p delta1 on C^{p,q}_1."""
-    gx = rep.gx
-    rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(samples):
-        c = random_group_cochain(rep, p, q, 1, rng)
-        gammas = [gp_sample(gx, rng, p + 1, scale) for _ in range(q + 2)]
-        t1 = diff_cochain(rep, "delta", diff_cochain(rep, "Delta", c))
-        t2 = diff_cochain(rep, "Delta", diff_cochain(rep, "delta", c))
-        lhs = _vadd(t1(gammas, []), t2(gammas, []))
-        rhs = diff_cochain(rep, "Delta2p", diff_cochain(rep, "delta1", c))(
-            gammas, [])
-        worst = max(worst, vmax(_vsub(lhs, rhs)))
-    return worst
+
+    def relation(c, gammas, fs):
+        lhs = _vadd(_maps(rep, c, "Delta", "delta")(gammas, fs),
+                    _maps(rep, c, "delta", "Delta")(gammas, fs))
+        return _vsub(lhs, _maps(rep, c, "delta1", "Delta2p")(gammas, fs))
+
+    return _sampled_relation(rep, (p, q, 1), (p + 1, q + 2, 0), samples,
+                             seed, scale, relation)
 
 
 # ---------------------------------------------------------------------------
@@ -1120,19 +1070,15 @@ def scenario_glphi(dims=(2, 1), trials=20, seed=0, tol=1e-9):
     res = group_xmod_validate_sampled(gx, samples=trials, seed=seed)
     rows = [("glphi_%s" % name, val, val <= tol)
             for name, val in sorted(res.items())]
-    rows.append(("glphi_curvature",
-                 homotopy_curvature_residual(tautological_rep(gx),
-                                             samples=trials, seed=seed),
-                 True))
-    rows[-1] = (rows[-1][0], rows[-1][1], rows[-1][1] <= tol)
+    curvature = homotopy_curvature_residual(tautological_rep(gx),
+                                            samples=trials, seed=seed)
+    rows.append(("glphi_curvature", curvature, curvature <= tol))
     return rows
 
 
 def scenario_exp(dims=(1, 1), trials=10, seed=0, tol=1e-9):
     rows = []
     if dims == (1, 1):
-        v = TwoVectorSpace(1, 1, Matrix(1, 1, [[1]]))
-        gx = glphi_group(v)
         worst = 0.0
         rng = random.Random(seed)
         for _ in range(trials):

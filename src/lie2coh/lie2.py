@@ -17,10 +17,6 @@ class TwoVectorSpace:
         assert phi.rows == dim_v and phi.cols == dim_w
         self.phi = phi
 
-    @staticmethod
-    def zero_map(dim_w, dim_v):
-        return TwoVectorSpace(dim_w, dim_v, Matrix.zero(dim_v, dim_w))
-
     def __repr__(self):
         return "TwoVectorSpace(W=%d -> V=%d)" % (self.dim_w, self.dim_v)
 

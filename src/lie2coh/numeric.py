@@ -70,9 +70,6 @@ class Matrix:
     def column(vec):
         return Matrix(len(vec), 1, [[x] for x in vec])
 
-    def copy(self):
-        return Matrix(self.rows, self.cols, [row[:] for row in self.data])
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)

@@ -12,6 +12,11 @@ ADJOINT = os.path.join(FIXTURES, "adjoint_aff1.json")
 CENTRAL = os.path.join(FIXTURES, "central_h2.json")
 
 
+def load_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
@@ -26,7 +31,7 @@ def test_validate_pass(capsys):
 
 
 def test_validate_broken_jacobi(tmp_path, capsys):
-    raw = json.load(open(ADJOINT))
+    raw = load_json(ADJOINT)
     raw["lie2algebra"]["h"]["brackets"] = {"0,1": ["0", "1"]}
     raw["lie2algebra"]["g"]["brackets"] = {
         "0,1": ["0", "1"]}
@@ -50,7 +55,7 @@ def test_validate_broken_jacobi(tmp_path, capsys):
 
 
 def test_validate_broken_two_rep(tmp_path, capsys):
-    raw = json.load(open(ADJOINT))
+    raw = load_json(ADJOINT)
     raw["two_rep"]["rho0_W"][0] = [["1", "1"], ["0", "1"]]
     path = tmp_path / "badrep.json"
     path.write_text(json.dumps(raw))
@@ -62,7 +67,7 @@ def test_validate_broken_two_rep(tmp_path, capsys):
 def test_invalid_two_rep_exit_two(tmp_path, capsys):
     """Commands that build the lattice refuse an invalid 2-representation
     as an input error, naming the violated identities."""
-    raw = json.load(open(ADJOINT))
+    raw = load_json(ADJOINT)
     raw["two_rep"]["rho0_V"][0][0][0] = "7"
     path = tmp_path / "badrho.json"
     path.write_text(json.dumps(raw))
@@ -113,7 +118,7 @@ def test_parse_error_exit_two(tmp_path, capsys):
 
 
 def test_dimension_error_exit_two(tmp_path, capsys):
-    raw = json.load(open(ADJOINT))
+    raw = load_json(ADJOINT)
     raw["lie2algebra"]["mu"] = [["1"]]
     path = tmp_path / "dims.json"
     path.write_text(json.dumps(raw))
@@ -147,7 +152,7 @@ def test_nabla_check_and_determinism(capsys):
 
 
 def test_env_seed_used(tmp_path, capsys, monkeypatch):
-    raw = json.load(open(ADJOINT))
+    raw = load_json(ADJOINT)
     raw.pop("options", None)           # no file seed: the env var applies
     path = tmp_path / "no_options.json"
     path.write_text(json.dumps(raw))
@@ -293,7 +298,7 @@ def test_golden_output_validate(capsys):
 
 
 def test_cohomology_requires_two_rep(tmp_path, capsys):
-    raw = json.load(open(ADJOINT))
+    raw = load_json(ADJOINT)
     raw.pop("two_rep")
     raw.pop("two_vector")
     path = tmp_path / "norep.json"
@@ -312,3 +317,133 @@ def test_nabla_check_full_fixture_within_budget(capsys):
     code, out, _ = run(capsys, ["nabla-check", ADJOINT, "--max-degree", "2"])
     assert code == 0
     assert time.time() - started <= 60
+
+
+def _write(tmp_path, raw, name="input.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def test_bad_bracket_coefficient_exit_two(tmp_path, capsys):
+    for value in (0.5, "1/0"):
+        raw = load_json(ADJOINT)
+        raw["lie2algebra"]["h"]["brackets"]["0,1"] = ["0", value]
+        code, out, err = run(capsys, ["validate", _write(tmp_path, raw)])
+        assert code == 2, value
+        assert "lie2algebra.h: bracket '0,1'" in err
+        assert "CHECK" not in out
+
+
+def test_bad_cochain_value_exit_two(tmp_path, capsys):
+    for value in (0.5, "1/0"):
+        raw = load_json(CENTRAL)
+        raw["cochains"]["volume"]["values"] = [value]
+        code, out, err = run(capsys, ["validate", _write(tmp_path, raw)])
+        assert code == 2, value
+        assert "cochains.volume.values[0]" in err
+
+
+def test_non_integer_options_exit_two(tmp_path, capsys):
+    for key, value in (("seed", "abc"), ("max_degree", [1]),
+                       ("trials", 1.5)):
+        raw = load_json(ADJOINT)
+        raw["options"] = {key: value}
+        code, out, err = run(capsys, ["nabla-check", _write(tmp_path, raw)])
+        assert code == 2, key
+        assert "options.%s: expected an integer" % key in err
+        assert "CHECK" not in out
+
+
+def test_non_integer_env_seed_exit_two(capsys, monkeypatch):
+    monkeypatch.setenv("LIE2COH_SEED", "abc")
+    code, out, err = run(capsys, ["group-checks", "glphi", "--trials", "2"])
+    assert code == 2
+    assert "LIE2COH_SEED: expected an integer" in err
+
+
+def test_group_checks_dims_below_one_exit_two(capsys):
+    for scenario in ("glphi", "exp", "startop", "gp2cocycle-semidirect"):
+        for dims in (["0", "1"], ["1", "0"], ["-1", "1"]):
+            code, out, err = run(capsys, ["group-checks", scenario,
+                                          "--dims"] + dims)
+            assert code == 2, (scenario, dims)
+            assert "--dims entries must be at least 1" in err
+            assert out == ""
+
+
+def test_group_checks_trials_below_one_exit_two(capsys):
+    for trials in ("0", "-3"):
+        code, out, err = run(capsys, ["group-checks", "glphi", "--trials",
+                                      trials])
+        assert code == 2, trials
+        assert "--trials must be at least 1" in err
+        assert out == ""
+
+
+GOLDEN_GROUP_CHECKS = [
+    (["glphi", "--dims", "2", "1"],
+     "CHECK glphi_action_automorphism: PASS residual 2.220e-16\n"
+     "CHECK glphi_equivariance: PASS residual 2.220e-16\n"
+     "CHECK glphi_i_homomorphism: PASS residual 2.220e-16\n"
+     "CHECK glphi_peiffer: PASS residual 2.220e-16\n"
+     "CHECK glphi_right_action: PASS residual 1.110e-16\n"
+     "CHECK glphi_curvature: PASS residual 4.441e-16\n"),
+    (["glphi", "--dims", "3", "2"],
+     "CHECK glphi_action_automorphism: PASS residual 4.441e-16\n"
+     "CHECK glphi_equivariance: PASS residual 4.441e-16\n"
+     "CHECK glphi_i_homomorphism: PASS residual 4.441e-16\n"
+     "CHECK glphi_peiffer: PASS residual 3.331e-16\n"
+     "CHECK glphi_right_action: PASS residual 3.331e-16\n"
+     "CHECK glphi_curvature: PASS residual 5.551e-16\n"),
+    (["exp", "--dims", "2", "1"],
+     "CHECK exp_one_parameter: PASS residual 3.331e-16\n"
+     "CHECK exp_delta_vs_matrix_exp: PASS residual 6.661e-16\n"),
+    (["exp", "--dims", "3", "2"],
+     "CHECK exp_one_parameter: PASS residual 4.441e-16\n"
+     "CHECK exp_delta_vs_matrix_exp: PASS residual 1.776e-15\n"),
+    (["lie-functor"],
+     "CHECK lie_functor_phi_identity: PASS residual 0.000e+00\n"
+     "CHECK lie_functor_phi_projection: PASS residual 0.000e+00\n"
+     "CHECK lie_functor_phi_zero_2x2: PASS residual 0.000e+00\n"),
+    (["startop", "--dims", "2", "1"],
+     "CHECK startop_r1: PASS residual 2.220e-16\n"
+     "CHECK startop_r2: PASS residual 9.714e-17\n"
+     "CHECK atsch_iv_p0q0: PASS residual 5.551e-17\n"
+     "CHECK atsch_v_p0q0: PASS residual 9.021e-17\n"
+     "CHECK atsch_iv_p0q1: PASS residual 6.939e-17\n"
+     "CHECK atsch_v_p0q1: PASS residual 1.041e-17\n"
+     "CHECK atsch_iv_p1q0: PASS residual 5.551e-17\n"
+     "CHECK atsch_v_p1q0: PASS residual 1.665e-16\n"),
+    (["startop", "--dims", "3", "2"],
+     "CHECK startop_r1: PASS residual 4.441e-16\n"
+     "CHECK startop_r2: PASS residual 7.772e-16\n"
+     "CHECK atsch_iv_p0q0: PASS residual 2.498e-16\n"
+     "CHECK atsch_v_p0q0: PASS residual 3.331e-16\n"
+     "CHECK atsch_iv_p0q1: PASS residual 8.327e-17\n"
+     "CHECK atsch_v_p0q1: PASS residual 3.608e-16\n"
+     "CHECK atsch_iv_p1q0: PASS residual 4.441e-16\n"
+     "CHECK atsch_v_p1q0: PASS residual 5.551e-16\n"),
+    (["vanest-heisenberg"],
+     "Phi F on the basis = [[0, 1], [-1, 0]]\n"
+     "CHECK vanest_phi_e1_e2: PASS residual 0.000e+00\n"
+     "CHECK vanest_alternation: PASS residual 0.000e+00\n"
+     "CHECK vanest_bilinear_point: PASS residual 0.000e+00\n"),
+] + [
+    (["gp2cocycle-semidirect", "--dims", w, v],
+     "".join("CHECK gp2cocycle_semidirect_eq_%s: PASS residual 0.000e+00\n"
+             % k for k in ("i", "ii", "iii", "iv", "v", "vi", "vii"))
+     + "CHECK gp2cocycle_perturbed_alpha_trips_iv: PASS residual "
+       "2.198e-02\n")
+    for w, v in (("2", "1"), ("3", "2"))
+]
+
+
+def test_group_checks_golden(capsys):
+    """Every scenario prints exactly the pinned report (--trials 5 --seed 3;
+    dims 2 1 and 3 2 where the scenario takes dims)."""
+    for args, expected in GOLDEN_GROUP_CHECKS:
+        code, out, _ = run(capsys, ["group-checks"] + args
+                           + ["--trials", "5", "--seed", "3"])
+        assert code == 0, args
+        assert out == expected, args

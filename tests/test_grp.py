@@ -16,7 +16,9 @@ from lie2coh.grp import (glphi_group, glphi1_exp, additive_group,
                          atsch_v_residual, GroupCochain, diff_cochain,
                          GpPoint, gp_sample, gp_face, gp_mul, gp_target,
                          VanEstCochain, van_est_r, van_est_phi,
-                         mexp, mmul, mscale, residual, mzero, vmax, _vsub)
+                         mexp, mmul, mscale, residual, mzero, vmax, _vsub,
+                         madd, meye)
+from lie2coh import grp
 
 
 def proj_phi():
@@ -375,3 +377,104 @@ def test_startop_relation_general_pq():
             res = startop_relation_residual(rep, r, samples=3, seed=5,
                                             p=p, q=q)
             assert res <= 1e-9, (p, q, r, res)
+
+
+# The exponential series as it was before the stop rule: always 30 terms.
+# Kept verbatim as the oracle of the early-stopping series.
+
+def oracle_mexp(a, terms=30):
+    n = len(a)
+    out = meye(n)
+    term = meye(n)
+    for k in range(1, terms + 1):
+        term = mscale(mmul(term, a), 1.0 / k)
+        out = madd(out, term)
+    return out
+
+
+def oracle_glphi1_exp(a, phi, terms=30):
+    dv = len(phi)
+    acc = meye(dv)
+    term = meye(dv)
+    phi_a = mmul(phi, a)
+    for n in range(1, terms + 1):
+        term = mscale(mmul(term, phi_a), 1.0 / (n + 1))
+        acc = madd(acc, term)
+    return mmul(a, acc)
+
+
+def _uniform(rng, rows, cols):
+    return [[rng.uniform(-1.0, 1.0) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def test_series_matches_thirty_terms_on_floats():
+    """Stopping once a term changes no entry gives the 30-term sums
+    exactly (same repr), for mexp and glphi1_exp."""
+    rng = random.Random(17)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        a = _uniform(rng, n, n)
+        assert repr(mexp(a)) == repr(oracle_mexp(a)), a
+        dw, dv = rng.randint(1, 4), rng.randint(1, 4)
+        a = _uniform(rng, dw, dv)
+        phi = _uniform(rng, dv, dw)
+        assert repr(glphi1_exp(a, phi)) == repr(oracle_glphi1_exp(a, phi))
+
+
+def _nilpotent_jet(rng, num_vars, order):
+    """A jet with zero constant part, or a float zero."""
+    if rng.random() < 0.25:
+        return 0.0
+    out = Jet(num_vars, order)
+    for i in range(num_vars):
+        out = out + Jet.variable(i, num_vars, order, rng.uniform(-1, 1))
+    return out
+
+
+def _coefficients(x):
+    """{key: coefficient} of a two-variable jet entry; a float is its
+    constant term."""
+    if isinstance(x, Jet):
+        return {k: v for k, v in x.coeffs.items() if v != 0.0}
+    return {(0, 0): x} if x != 0.0 else {}
+
+
+def _same_coefficients(m1, m2):
+    assert len(m1) == len(m2)
+    for r1, r2 in zip(m1, m2):
+        assert [_coefficients(x) for x in r1] == [_coefficients(x) for x in r2]
+
+
+def test_series_matches_thirty_terms_on_nilpotent_jets():
+    rng = random.Random(23)
+    for _ in range(20):
+        order = rng.randint(1, 3)
+        n = rng.randint(1, 3)
+        a = [[_nilpotent_jet(rng, 2, order) for _ in range(n)]
+             for _ in range(n)]
+        _same_coefficients(mexp(a), oracle_mexp(a))
+        dw = rng.randint(1, 3)
+        a = [[_nilpotent_jet(rng, 2, order) for _ in range(n)]
+             for _ in range(dw)]
+        phi = _uniform(rng, n, dw)
+        _same_coefficients(glphi1_exp(a, phi), oracle_glphi1_exp(a, phi))
+
+
+def test_mexp_of_nilpotent_jet_stops_early(monkeypatch):
+    """On an order-2 jet matrix with zero constant part the series ends
+    after order + 1 terms: at most 4 products, not 30."""
+    calls = []
+
+    def counting_mmul(a, b):
+        calls.append(1)
+        return mmul(a, b)
+
+    monkeypatch.setattr(grp, "mmul", counting_mmul)
+    tau = Jet.variable(0, 1, 2)
+    a = [[tau * 0.5, tau * -1.0], [tau * 2.0, 0.0]]
+    got = mexp(a)
+    assert len(calls) <= 4, len(calls)
+    # exp(a) = I + a + a^2 / 2 in the jet ring of order 2
+    assert got[0][1].coefficient((1,)) == -1.0
+    assert got[1][1].coefficient((2,)) == -1.0
