@@ -47,36 +47,55 @@ def _as_int(value, where):
     raise InputError("%s: expected an integer, got %r" % (where, value))
 
 
+def _as_object(value, where):
+    """A section of the input that must be a JSON object."""
+    if not isinstance(value, dict):
+        raise InputError("%s: expected an object, got %s"
+                         % (where, type(value).__name__))
+    return value
+
+
+def _as_list(value, where):
+    """A part of the input that must be a JSON list."""
+    if not isinstance(value, list):
+        raise InputError("%s: expected a list, got %s"
+                         % (where, type(value).__name__))
+    return value
+
+
 def _parse_matrix(data, rows, cols, where):
+    """A matrix given as a list of rows, each a list of coefficients."""
+    _as_list(data, where)
     if len(data) != rows:
         raise InputError("%s: expected %d rows, got %d" % (where, rows,
                                                            len(data)))
     out = []
     for r, row in enumerate(data):
-        if len(row) != cols:
+        where_row = "%s: row %d" % (where, r)
+        if len(_as_list(row, where_row)) != cols:
             raise InputError("%s: row %d has %d entries, expected %d"
                              % (where, r, len(row), cols))
-        where_row = "%s: row %d" % (where, r)
         out.append([_parse_rat(x, where_row) for x in row])
     return Matrix(rows, cols, out)
 
 
 def _parse_algebra(data, where):
-    dim = data.get("dim")
+    dim = _as_object(data, where).get("dim")
     if not isinstance(dim, int) or dim < 0:
         raise InputError("%s: missing or bad 'dim'" % where)
     brackets = {}
-    for key, vec in sorted(data.get("brackets", {}).items()):
+    for key, vec in sorted(_as_object(data.get("brackets", {}),
+                                      where + ".brackets").items()):
         try:
             i, j = (int(t) for t in key.split(","))
         except ValueError:
             raise InputError("%s: bad bracket key %r" % (where, key))
         if not 0 <= i < j < dim:
             raise InputError("%s: bracket key %r out of range" % (where, key))
-        if len(vec) != dim:
+        where_key = "%s: bracket %r" % (where, key)
+        if len(_as_list(vec, where_key)) != dim:
             raise InputError("%s: bracket %r has %d coefficients, expected %d"
                              % (where, key, len(vec), dim))
-        where_key = "%s: bracket %r" % (where, key)
         brackets[(i, j)] = [_parse_rat(x, where_key) for x in vec]
     return LieAlgebra(dim, brackets)
 
@@ -90,14 +109,14 @@ class ProblemFile:
         self.two_vector = None
         self.two_rep = None
         self.cochains = {}
-        self.options = raw.get("options", {})
+        self.options = _as_object(raw.get("options", {}), "options")
         if "lie2algebra" in raw:
-            sec = raw["lie2algebra"]
+            sec = _as_object(raw["lie2algebra"], "lie2algebra")
             g = _parse_algebra(sec.get("g", {}), "lie2algebra.g")
             h = _parse_algebra(sec.get("h", {}), "lie2algebra.h")
             mu = _parse_matrix(sec.get("mu", []), h.dim, g.dim,
                                "lie2algebra.mu")
-            mats = sec.get("action", [])
+            mats = _as_list(sec.get("action", []), "lie2algebra.action")
             if len(mats) != h.dim:
                 raise InputError("lie2algebra.action: expected %d matrices"
                                  % h.dim)
@@ -107,7 +126,7 @@ class ProblemFile:
                            for k, m in enumerate(mats)])
             self.xmod = CrossedModuleAlg(g, h, mu, action)
         if "two_vector" in raw:
-            sec = raw["two_vector"]
+            sec = _as_object(raw["two_vector"], "two_vector")
             dw, dv = sec.get("W"), sec.get("V")
             if not isinstance(dw, int) or not isinstance(dv, int):
                 raise InputError("two_vector: W and V must be integers")
@@ -117,25 +136,29 @@ class ProblemFile:
         if "two_rep" in raw:
             if self.xmod is None or self.two_vector is None:
                 raise InputError("two_rep needs lie2algebra and two_vector")
-            sec = raw["two_rep"]
+            sec = _as_object(raw["two_rep"], "two_rep")
             x, t = self.xmod, self.two_vector
             rho1 = [_parse_matrix(m, t.dim_w, t.dim_v, "two_rep.rho1[%d]" % k)
-                    for k, m in enumerate(sec.get("rho1", []))]
+                    for k, m in enumerate(_as_list(sec.get("rho1", []),
+                                                   "two_rep.rho1"))]
             if len(rho1) != x.g.dim:
                 raise InputError("two_rep.rho1: expected %d matrices"
                                  % x.g.dim)
             r0w = [_parse_matrix(m, t.dim_w, t.dim_w, "two_rep.rho0_W[%d]" % k)
-                   for k, m in enumerate(sec.get("rho0_W", []))]
+                   for k, m in enumerate(_as_list(sec.get("rho0_W", []),
+                                                  "two_rep.rho0_W"))]
             r0v = [_parse_matrix(m, t.dim_v, t.dim_v, "two_rep.rho0_V[%d]" % k)
-                   for k, m in enumerate(sec.get("rho0_V", []))]
+                   for k, m in enumerate(_as_list(sec.get("rho0_V", []),
+                                                  "two_rep.rho0_V"))]
             if len(r0w) != x.h.dim or len(r0v) != x.h.dim:
                 raise InputError("two_rep.rho0_W/rho0_V: expected %d matrices"
                                  % x.h.dim)
             self.two_rep = TwoRep(x, t, rho1,
                                   Representation(x.h, t.dim_w, r0w),
                                   Representation(x.h, t.dim_v, r0v))
-        for name, sec in sorted(raw.get("cochains", {}).items()):
-            idx = sec.get("index")
+        for name, sec in sorted(_as_object(raw.get("cochains", {}),
+                                           "cochains").items()):
+            idx = _as_object(sec, "cochains.%s" % name).get("index")
             vals = sec.get("values")
             if (not isinstance(idx, list) or len(idx) != 3
                     or not isinstance(vals, list)):

@@ -963,19 +963,18 @@ def random_group_cochain(rep, p, q, r, rng, terms=2, span=1.0):
         coeffs.append(rows)
 
     def fn(gammas, fs):
+        # each argument minus the unit, flattened once per call
+        moved = ([[x - u for x, u in zip(_flatten_point(gx, pt), unit_gamma)]
+                  for pt in gammas]
+                 + [[x - u for x, u in zip(gx.flatten_g(f), unit_g)]
+                    for f in fs])
         out = []
         for rows in coeffs:
             acc = 0.0
             for gamma_fns, g_fns in rows:
                 prod = 1.0
-                for coeff, pt in zip(gamma_fns, gammas):
-                    flat = _flatten_point(gx, pt)
-                    prod = prod * sum((c * (x - u) for c, x, u
-                                       in zip(coeff, flat, unit_gamma)), 0.0)
-                for coeff, f in zip(g_fns, fs):
-                    flat = gx.flatten_g(f)
-                    prod = prod * sum((c * (x - u) for c, x, u
-                                       in zip(coeff, flat, unit_g)), 0.0)
+                for coeff, dx in zip(gamma_fns + g_fns, moved):
+                    prod = prod * sum((c * d for c, d in zip(coeff, dx)), 0.0)
                 acc = acc + prod
             out.append(acc)
         return out

@@ -24,6 +24,16 @@ on the difference maps are calibrated so that nabla^2 = 0 holds as an
 exact matrix identity (the guarded invariant); ``_delta_sign`` below
 gives them, and a regression test freezes its values.
 
+Assembly is sparse.  Each component is accumulated as {column: value}
+rows: every term of a target basis pair expands its sparse arguments onto
+source basis pairs and adds its coefficient map, turned into sparse rows
+once per matrix, at the matching offsets.  The faces of g_p enter as
+sparse columns, cached per (p, k) on the context, and the nerve brackets
+come from the structure constants (``nerve_algebra``).  The component
+cache keeps the rows next to the Matrix that ``component_matrix`` returns
+until ``nabla`` places their nonzeros; nabla_n is cached, so the rows are
+dropped then and memory holds one copy of each component.
+
 Trivial coefficients are no separate complex: they are the unit
 2-representation (W = 0, V = Q, every action zero) restricted to its
 q >= 1 blocks, which form a subcomplex because nabla never lowers q.  The
@@ -38,7 +48,7 @@ from itertools import combinations
 from .numeric import (Matrix, Q0, rank, rank_and_kernel, vectors_matrix,
                       increasing_tuples, _demote, _echelon,
                       _sparse_rows)
-from .liealg import _unit, _sort_sign
+from .liealg import _unit, _sort_sign, sparse_columns
 from .lie2 import (TwoVectorSpace, nerve_algebra, face_matrix,
                    final_target_matrix, validate_crossed_module)
 from .tworep import TwoRep, validate_two_rep, bar_rho
@@ -81,27 +91,23 @@ class Space:
 def _expand(args):
     """Alternating expansion of a tuple of sparse vectors.
 
-    args: list of [(index, coeff), ...].  Yields (coefficient, sorted
-    increasing tuple); repeated indices are dropped.
+    args: list of [(index, nonzero coeff), ...].  Returns a list of
+    (coefficient, sorted increasing tuple); repeated indices are dropped.
     """
     results = [(1, ())]
     for vec in args:
-        new = []
-        for coeff, tup in results:
-            for idx, c in vec:
-                if c != 0:
-                    new.append((coeff * c, tup + (idx,)))
-        results = new
+        results = [(coeff * c, tup + (idx,))
+                   for coeff, tup in results for idx, c in vec]
         if not results:
-            return
+            return results
+    if len(args) < 2:
+        return results
+    out = []
     for coeff, tup in results:
         s, sorted_tup = _sort_sign(tup)
-        if s != 0:
-            yield (coeff * s, sorted_tup)
-
-
-def _sparse_column(matrix, j):
-    return _sparse_from(matrix.col(j))
+        if s:
+            out.append((coeff * s, sorted_tup))
+    return out
 
 
 def _sparse_from(vec):
@@ -136,12 +142,15 @@ class LatticeContext:
         self.phi = rep.target.phi
         self._nerves = {}
         self._faces = {}
+        self._face_cols = {}
         self._targets = {}
         self._spaces = {}
         self._mats = {}
+        self._rows = {}
         self._nablas = {}
-        # rho0^1(mu(e_j)) per g-basis vector, used by delta_one
-        self._rho01_mu = [rep.rho0_w.act(x.mu.col(j)) for j in range(self.dg)]
+        # rho0^1(mu(e_j)) per g-basis vector as sparse rows, for delta_one
+        self._rho01_mu = [_sparse_rows(rep.rho0_w.act(x.mu.col(j)).data)
+                          for j in range(self.dg)]
         if check_degree is not None:
             for n in range(check_degree + 1):
                 bad = self.nabla_squared_blocks(n)
@@ -164,6 +173,13 @@ class LatticeContext:
         if key not in self._faces:
             self._faces[key] = face_matrix(self.x, p, k)
         return self._faces[key]
+
+    def face_columns(self, p, k):
+        """The k-th face g_{p+1} -> g_p as sparse columns."""
+        key = (p, k)
+        if key not in self._face_cols:
+            self._face_cols[key] = sparse_columns(self.face(p, k))
+        return self._face_cols[key]
 
     def target(self, p):
         if p not in self._targets:
@@ -192,44 +208,64 @@ class LatticeContext:
         if key in self._mats:
             return self._mats[key]
         if kind == "deltaR":
-            m = self._build_delta_r(p, q, r)
+            built = self._build_delta_r(p, q, r)
         elif kind == "delta1":
-            m = self._build_delta_one(p, q, r)
+            built = self._build_delta_one(p, q, r)
         elif kind == "partial":
-            m = self._build_partial(p, q, r)
+            built = self._build_partial(p, q, r)
         elif kind == "DeltaK":
             if k is None or not 1 <= k <= r:
                 raise ValueError("difference order out of range: k=%r, r=%d"
                                  % (k, r))
-            m = self._build_delta_k(p, q, r, k)
+            built = self._build_delta_k(p, q, r, k)
         else:
             raise ValueError("unknown component kind %r" % (kind,))
-        self._mats[key] = m
-        return m
+        # the sparse rows wait here until nabla places their nonzeros
+        self._mats[key], self._rows[key] = built
+        return self._mats[key]
 
     def _assemble(self, src, tgt, term_gen):
-        out = Matrix.zero(tgt.total_dim, src.total_dim)
+        """A component as (Matrix, rows), rows as {column: value} dicts.
+
+        term_gen(I, J) yields the terms of the target basis pair (I, J):
+        (sign, coefficient rows, gp_args, g_args), the coefficient map as
+        sparse rows (None for the identity) and the arguments as sparse
+        vectors, expanded alternatingly onto source basis pairs."""
+        rows = [{} for _ in range(tgt.total_dim)]
+        dc = src.coeff_dim
+        gp_pos, g_pos = src._gp_pos, src._g_pos
+        stride = len(src.g_tuples) * dc
         for I in tgt.gp_tuples:
             for J in tgt.g_tuples:
                 row0 = tgt.block(I, J)
-                for sign, coeff_mat, gp_args, g_args in term_gen(I, J):
+                for sign, coeff, gp_args, g_args in term_gen(I, J):
+                    # (sign * coefficient, offset) of each source g-tuple
+                    g_terms = [(sign * c2, g_pos[J_in] * dc)
+                               for c2, J_in in _expand(g_args)
+                               if J_in in g_pos]
                     for c1, I_in in _expand(gp_args):
-                        for c2, J_in in _expand(g_args):
-                            col0 = src.block(I_in, J_in)
-                            if col0 is None:
+                        i = gp_pos.get(I_in)
+                        if i is None:
+                            continue
+                        for c2, offset in g_terms:
+                            col0 = i * stride + offset
+                            val = c1 * c2
+                            if coeff is None:
+                                for a in range(dc):
+                                    row = rows[row0 + a]
+                                    b = col0 + a
+                                    row[b] = row.get(b, 0) + val
                                 continue
-                            val = sign * c1 * c2
-                            if coeff_mat is None:
-                                for a in range(src.coeff_dim):
-                                    out.data[row0 + a][col0 + a] += val
-                            else:
-                                for a in range(coeff_mat.rows):
-                                    row = coeff_mat.data[a]
-                                    for b in range(coeff_mat.cols):
-                                        if row[b] != 0:
-                                            out.data[row0 + a][col0 + b] \
-                                                += val * _demote(row[b])
-        return out
+                            for a, entries in enumerate(coeff, row0):
+                                row = rows[a]
+                                for b, x in entries.items():
+                                    b += col0
+                                    row[b] = row.get(b, 0) + val * x
+        data = [[0] * src.total_dim for _ in rows]
+        for out, row in zip(data, rows):
+            for j, x in row.items():
+                out[j] = x
+        return Matrix._of(tgt.total_dim, src.total_dim, data), rows
 
     def _build_delta_r(self, p, q, r):
         src = self.space(p, q, r)
@@ -239,9 +275,10 @@ class LatticeContext:
         # per basis index i of g_p
         ys = self.target(p).columns()
         rho0 = self.rep.rho0_w if r else self.rep.rho0_v
-        coeff = [rho0.act(y) for y in ys]
-        moved_by = [[_sparse_column(ly, j) for j in range(self.dg)]
-                    for ly in map(self.x.action.act, ys)] if r else None
+        coeff = [_sparse_rows(rho0.act(y).data) for y in ys]
+        moved_by = [sparse_columns(self.x.action.act(y))
+                    for y in ys] if r else None
+        brackets = nerve._sparse
 
         def terms(I, J):
             units_J = [_usp(j) for j in J]
@@ -255,26 +292,28 @@ class LatticeContext:
                     yield (-sign, None, rest, moved)
             for m in range(q + 1):
                 for n in range(m + 1, q + 1):
-                    br = nerve.basis_bracket(I[m], I[n])
-                    if all(c == 0 for c in br):
+                    br = brackets.get((I[m], I[n]))
+                    if br is None:
                         continue
                     rest = [_usp(i) for t, i in enumerate(I)
                             if t not in (m, n)]
                     sign = -1 if (m + n) % 2 else 1
-                    yield (sign, None, [_sparse_from(br)] + rest, units_J)
+                    yield (sign, None, [br] + rest, units_J)
 
         return self._assemble(src, tgt, terms)
 
     def _build_delta_one(self, p, q, r):
         src = self.space(p, q, r)
         tgt = self.space(p, q, r + 1)
-        g = self.x.g
+        brackets = {key: [(i, _demote(c)) for i, c in vec]
+                    for key, vec in self.x.g._sparse.items()}
+        rho1 = [_sparse_rows(m.data) for m in self.rep.rho1] if not r else None
 
         def terms(I, J):
             units_I = [_usp(i) for i in I]
             if r == 0:
                 # seed: (delta_one w)(Xi; x) = rho1(x) w(Xi)
-                yield (1, self.rep.rho1[J[0]], units_I, [])
+                yield (1, rho1[J[0]], units_I, [])
                 return
             for kpos in range(r + 1):
                 rest = [_usp(j) for t, j in enumerate(J) if t != kpos]
@@ -282,35 +321,34 @@ class LatticeContext:
                 yield (sign, self._rho01_mu[J[kpos]], units_I, rest)
             for a in range(r + 1):
                 for b in range(a + 1, r + 1):
-                    br = g.basis_bracket(J[a], J[b])
-                    if all(c == 0 for c in br):
+                    br = brackets.get((J[a], J[b]))
+                    if br is None:
                         continue
                     rest = [_usp(j) for t, j in enumerate(J)
                             if t not in (a, b)]
                     sign = -1 if (a + b) % 2 else 1
-                    yield (sign, None, units_I, [_sparse_from(br)] + rest)
+                    yield (sign, None, units_I, [br] + rest)
 
         return self._assemble(src, tgt, terms)
 
     def _build_partial(self, p, q, r):
         src = self.space(p, q, r)
         tgt = self.space(p + 1, q, r)
-        faces = [self.face(p, k) for k in range(p + 2)]
+        faces = [self.face_columns(p, k) for k in range(p + 2)]
 
         def terms(I, J):
             units_J = [_usp(j) for j in J]
             for k, face in enumerate(faces):
                 sign = -1 if k % 2 else 1
-                gp_args = [_sparse_column(face, i) for i in I]
-                yield (sign, None, gp_args, units_J)
+                yield (sign, None, [face[i] for i in I], units_J)
 
         return self._assemble(src, tgt, terms)
 
     def _build_delta_k(self, p, q, r, k):
         src = self.space(p, q, r)
         tgt = self.space(p + 1, q + k, r - k)
-        face0 = self.face(p, 0)
-        coeff = self.phi if r == k else None
+        face0 = self.face_columns(p, 0)
+        coeff = _sparse_rows(self.phi.data) if r == k else None
         dg = self.dg
 
         def x0_part(i):
@@ -321,8 +359,8 @@ class LatticeContext:
             units_J = [_usp(j) for j in J]
             for subset in combinations(range(q + k), k):
                 sign = -1 if sum(subset) % 2 else 1
-                gp_args = [_sparse_column(face0, I[t])
-                           for t in range(q + k) if t not in subset]
+                gp_args = [face0[I[t]] for t in range(q + k)
+                           if t not in subset]
                 g_args = [x0_part(I[t]) for t in subset] + units_J
                 yield (sign, coeff, gp_args, g_args)
 
@@ -367,31 +405,29 @@ class LatticeContext:
                                 MAX_NABLA_CELLS))
         out = Matrix.zero(tgt_dim, src_dim)
 
-        def place(tgt_block, src_block, mat, sign):
-            if tgt_block not in tgt_offs or mat.rows == 0 or mat.cols == 0:
+        def place(tgt_block, src_block, sign, kind, k=None):
+            self.component_matrix(kind, *src_block, k)
+            # nabla_n is cached, so each component's rows are placed once
+            rows = self._rows.pop((kind,) + src_block + (k,))
+            if tgt_block not in tgt_offs:
                 return
             r0 = tgt_offs[tgt_block]
             c0 = src_offs[src_block]
-            for i in range(mat.rows):
-                row = mat.data[i]
-                orow = out.data[r0 + i]
-                for j in range(mat.cols):
-                    if row[j] != 0:
-                        orow[c0 + j] += sign * row[j]
+            for i, row in enumerate(rows, r0):
+                if row:
+                    orow = out.data[i]
+                    for j, x in row.items():
+                        if x:
+                            orow[c0 + j] += sign * x
 
         for (p, q, r) in self.degree_blocks(n):
-            place((p, q + 1, r), (p, q, r),
-                  self.component_matrix("deltaR", p, q, r), 1)
-            s1 = -1 if q % 2 else 1
-            place((p, q, r + 1), (p, q, r),
-                  self.component_matrix("delta1", p, q, r), s1)
-            sp = -1 if (q + r) % 2 else 1
-            place((p + 1, q, r), (p, q, r),
-                  self.component_matrix("partial", p, q, r), sp)
+            src = (p, q, r)
+            place((p, q + 1, r), src, 1, "deltaR")
+            place((p, q, r + 1), src, -1 if q % 2 else 1, "delta1")
+            place((p + 1, q, r), src, -1 if (q + r) % 2 else 1, "partial")
             for k in range(1, r + 1):
-                place((p + 1, q + k, r - k), (p, q, r),
-                      self.component_matrix("DeltaK", p, q, r, k),
-                      _delta_sign(k, q, r))
+                place((p + 1, q + k, r - k), src, _delta_sign(k, q, r),
+                      "DeltaK", k)
         self._nablas[n] = out
         return out
 

@@ -2,7 +2,7 @@
 2-algebra gl(phi) of a 2-term complex of vector spaces."""
 
 from .numeric import (Matrix, Q0, Q1, rank_and_kernel, solve_linear,
-                      vectors_matrix, in_span)
+                      vectors_matrix, in_span, _demote)
 from .liealg import (LieAlgebra, Representation, validate_lie_algebra,
                      validate_representation, sparse_columns, apply_into,
                      _unit)
@@ -274,41 +274,45 @@ class NerveAlgebra:
 
 
 def nerve_algebra(x, p):
+    """The nerve algebra g_p, its brackets from the structure constants.
+
+    The c-th arrow of a basis vector is sparse: e_k in slot s has arrow
+    (e_k, 0) at c = s, (0, mu e_k) at c < s and zero at c > s; e_b in the
+    y-block has arrow (0, e_b) in every slot.  Slot c of a bracket is
+    [x_u, x_v] + L_{y_u} x_v - L_{y_v} x_u for the c-th arrows (x_u, y_u),
+    (x_v, y_v), and the y-block is [y_u, y_v].
+    """
     assert p >= 0
     dg, dh = x.g.dim, x.h.dim
     d = p * dg + dh
-
-    def split(v):
-        xs = [v[k * dg:(k + 1) * dg] for k in range(p)]
-        return xs, v[p * dg:]
-
-    def bracket(u, v):
-        xs_u, y_u = split(u)
-        xs_v, y_v = split(v)
-        mus_u = [x.mu.apply(xk) for xk in xs_u]
-        mus_v = [x.mu.apply(xk) for xk in xs_v]
-        out = []
-        for j in range(p):
-            bu = list(y_u)
-            bv = list(y_v)
-            for k in range(j + 1, p):
-                bu = [a + b for a, b in zip(bu, mus_u[k])]
-                bv = [a + b for a, b in zip(bv, mus_v[k])]
-            slot = [a + b - c for a, b, c in
-                    zip(x.g.bracket(xs_u[j], xs_v[j]),
-                        x.action.act(bu).apply(xs_v[j]),
-                        x.action.act(bv).apply(xs_u[j]))]
-            out.extend(slot)
-        out.extend(x.h.bracket(y_u, y_v))
-        return out
+    act = [sparse_columns(m) for m in x.action.mats]
+    mu = sparse_columns(x.mu)
+    none = ((), ())
+    arrows = [[(((k, 1),), ()) if c == s else ((), mu[k]) if c < s else none
+               for c in range(p)]
+              for s in range(p) for k in range(dg)]
+    arrows += [[((), ((b, 1),))] * p for b in range(dh)]
+    ys = [()] * (p * dg) + [((b, 1),) for b in range(dh)]
 
     brackets = {}
     for i in range(d):
-        ei = _unit(d, i)
         for j in range(i + 1, d):
-            vec = bracket(ei, _unit(d, j))
-            if any(c != 0 for c in vec):
-                brackets[(i, j)] = vec
+            vec = {}
+            for c, ((xu, yu), (xv, yv)) in enumerate(zip(arrows[i],
+                                                           arrows[j])):
+                slot = x.g.bracket_into(xu, xv, {})
+                for b, cb in yu:
+                    apply_into(slot, act[b], xv, cb)
+                for b, cb in yv:
+                    apply_into(slot, act[b], xu, -cb)
+                for k, val in slot.items():
+                    if val:
+                        vec[c * dg + k] = _demote(val)
+            for b, val in x.h.bracket_into(ys[i], ys[j], {}).items():
+                if val:
+                    vec[p * dg + b] = _demote(val)
+            if vec:
+                brackets[(i, j)] = [vec.get(k, 0) for k in range(d)]
     return NerveAlgebra(x, p, LieAlgebra(d, brackets))
 
 

@@ -1,7 +1,8 @@
 """Finite-dimensional Lie algebras by structure constants, representations,
 and the Chevalley-Eilenberg differential with coefficients."""
 
-from .numeric import Matrix, Q0, Q1, rat, increasing_tuples
+from .numeric import (Matrix, Q0, Q1, rat, increasing_tuples,
+                      linear_combination)
 
 
 class LieAlgebra:
@@ -192,11 +193,8 @@ class Representation:
 
     def act(self, y):
         """Matrix of the action of a coefficient vector y."""
-        out = Matrix.zero(self.space_dim, self.space_dim)
-        for c, m in zip(y, self.mats):
-            if c != 0:
-                out = out + m.scale(c)
-        return out
+        return linear_combination(y, self.mats, self.space_dim,
+                                  self.space_dim)
 
 
 def validate_representation(rep):

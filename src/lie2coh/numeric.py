@@ -55,13 +55,23 @@ class Matrix:
             for row in self.data:
                 assert len(row) == cols
 
+    @classmethod
+    def _of(cls, rows, cols, data):
+        """A matrix on rows of exact entries that the library built: no
+        copy and no checks."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.data = data
+        return m
+
     @staticmethod
     def zero(rows, cols):
-        return Matrix(rows, cols)
+        return Matrix._of(rows, cols, [[0] * cols for _ in range(rows)])
 
     @staticmethod
     def identity(n):
-        m = Matrix(n, n)
+        m = Matrix.zero(n, n)
         for i in range(n):
             m.data[i][i] = Q1
         return m
@@ -86,22 +96,24 @@ class Matrix:
 
     def __add__(self, other):
         assert self.rows == other.rows and self.cols == other.cols
-        return Matrix(self.rows, self.cols,
-                      [[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.data, other.data)])
+        return Matrix._of(self.rows, self.cols,
+                          [[a + b for a, b in zip(r1, r2)]
+                           for r1, r2 in zip(self.data, other.data)])
 
     def __sub__(self, other):
         assert self.rows == other.rows and self.cols == other.cols
-        return Matrix(self.rows, self.cols,
-                      [[a - b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.data, other.data)])
+        return Matrix._of(self.rows, self.cols,
+                          [[a - b for a, b in zip(r1, r2)]
+                           for r1, r2 in zip(self.data, other.data)])
 
     def __neg__(self):
-        return Matrix(self.rows, self.cols, [[-a for a in r] for r in self.data])
+        return Matrix._of(self.rows, self.cols,
+                          [[-a for a in r] for r in self.data])
 
     def scale(self, c):
         c = rat(c)
-        return Matrix(self.rows, self.cols, [[c * a for a in r] for r in self.data])
+        return Matrix._of(self.rows, self.cols,
+                          [[c * a for a in r] for r in self.data])
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -111,7 +123,7 @@ class Matrix:
         # factor; integral entries as ints, so integral products stay ints
         right = [[(j, b if type(b) is int else _demote(b))
                   for j, b in enumerate(row) if b] for row in other.data]
-        out = Matrix(self.rows, other.cols)
+        out = Matrix.zero(self.rows, other.cols)
         for acc, row in zip(out.data, self.data):
             for a, pairs in zip(row, right):
                 if a and pairs:
@@ -135,25 +147,41 @@ class Matrix:
         return out
 
     def transpose(self):
-        return Matrix(self.cols, self.rows,
-                      [[self.data[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)])
+        return Matrix._of(self.cols, self.rows,
+                          [[self.data[i][j] for i in range(self.rows)]
+                           for j in range(self.cols)])
 
     def hstack(self, other):
         assert self.rows == other.rows
-        return Matrix(self.rows, self.cols + other.cols,
-                      [r1 + r2 for r1, r2 in zip(self.data, other.data)])
+        return Matrix._of(self.rows, self.cols + other.cols,
+                          [r1 + r2 for r1, r2 in zip(self.data, other.data)])
 
     def vstack(self, other):
         assert self.cols == other.cols
-        return Matrix(self.rows + other.rows, self.cols,
-                      [r[:] for r in self.data] + [r[:] for r in other.data])
+        return Matrix._of(self.rows + other.rows, self.cols,
+                          [r[:] for r in self.data]
+                          + [r[:] for r in other.data])
 
     def col(self, j):
         return [self.data[i][j] for i in range(self.rows)]
 
     def columns(self):
         return [self.col(j) for j in range(self.cols)]
+
+
+def linear_combination(coeffs, mats, rows, cols):
+    """The rows x cols matrix sum_i c_i M_i, formed in one pass over the
+    nonzero entries of the M_i whose coefficient is nonzero."""
+    data = [[0] * cols for _ in range(rows)]
+    for c, m in zip(coeffs, mats):
+        if c:
+            if type(c) is not int:
+                c = _demote(rat(c))
+            for acc, row in zip(data, m.data):
+                for j, a in enumerate(row):
+                    if a:
+                        acc[j] += c * a
+    return Matrix._of(rows, cols, data)
 
 
 def _demote(x):

@@ -2,7 +2,7 @@
 associated honest representation, and the twisted semidirect product that
 builds every extension of a Lie 2-algebra by a 2-vector space."""
 
-from .numeric import Matrix, Q0, increasing_tuples
+from .numeric import Matrix, Q0, increasing_tuples, linear_combination
 from .liealg import LieAlgebra, Representation, _unit
 from .lie2 import (CrossedModuleAlg, TwoVectorSpace, validate_crossed_module,
                    lie2_arrows)
@@ -28,11 +28,9 @@ class TwoRep:
         self.rho0_v = rho0_v
 
     def rho1_of(self, xvec):
-        out = Matrix.zero(self.target.dim_w, self.target.dim_v)
-        for c, m in zip(xvec, self.rho1):
-            if c != 0:
-                out = out + m.scale(c)
-        return out
+        """rho1 of a coefficient vector of g, a map V -> W."""
+        return linear_combination(xvec, self.rho1, self.target.dim_w,
+                                  self.target.dim_v)
 
     @staticmethod
     def trivial(source, target):

@@ -335,6 +335,36 @@ def test_bad_bracket_coefficient_exit_two(tmp_path, capsys):
         assert "CHECK" not in out
 
 
+def test_section_not_an_object_exit_two(tmp_path, capsys):
+    raw = load_json(ADJOINT)
+    raw["lie2algebra"]["h"] = [1]
+    code, out, err = run(capsys, ["validate", _write(tmp_path, raw)])
+    assert code == 2
+    assert "lie2algebra.h: expected an object" in err
+    assert "CHECK" not in out
+
+
+def test_bracket_not_a_list_exit_two(tmp_path, capsys):
+    raw = load_json(ADJOINT)
+    raw["lie2algebra"]["h"]["brackets"] = {"0,1": 5}
+    code, out, err = run(capsys, ["validate", _write(tmp_path, raw)])
+    assert code == 2
+    assert "lie2algebra.h: bracket '0,1': expected a list" in err
+    assert "CHECK" not in out
+
+
+def test_matrix_not_a_list_of_lists_exit_two(tmp_path, capsys):
+    for mu, where in ((7, "lie2algebra.mu: expected a list"),
+                      ([["0", "0"], 5], "lie2algebra.mu: row 1: expected "
+                                        "a list")):
+        raw = load_json(ADJOINT)
+        raw["lie2algebra"]["mu"] = mu
+        code, out, err = run(capsys, ["validate", _write(tmp_path, raw)])
+        assert code == 2, mu
+        assert where in err
+        assert "CHECK" not in out
+
+
 def test_bad_cochain_value_exit_two(tmp_path, capsys):
     for value in (0.5, "1/0"):
         raw = load_json(CENTRAL)

@@ -1,6 +1,7 @@
 """The triple lattice: dimensions, component differentials, the calibrated
 total differential, cohomology, and low-degree interpretations."""
 
+import hashlib
 import os
 from math import comb
 
@@ -657,3 +658,49 @@ def test_total_cohomology_representatives_match_greedy():
             nab = ctx.nabla(n)
             for v in reps:
                 assert all(c == 0 for c in nab.apply(v))
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# sha256 of repr(ctx.nabla(n)), n = 0..3, taken when every component was
+# still assembled from dense matrices
+NABLA_SHA256 = {
+    "tests/fixtures/adjoint_aff1.json": (
+        "eb4c28286c61f52242401ef16189b3b216c415790450e3ec173fdeac9470940f",
+        "37630e5c4e2dd9a92213a40848814e16087897ba827f6a7c30ee20565bc8963a",
+        "feeef840ac82d3177431da6b3c350797a1c374a85fb2f89091d433bfa394b2db",
+        "cb9359088317fb1d4f36fc16ba2b8f5b52eb0e2cb9bffd3e1b57683b6d4ad846"),
+    "tests/fixtures/central_h2.json": (
+        "01bb96fb3a2462936650eeaafa3522f4b281a75a850edc1e835de29a17670cff",
+        "432f6f9b3cd2590828918ff9fc5d7cc5b1e5c1cf40c1f47fa5d8dca8b8188956",
+        "ab756017d4360fea49e5ccc9b8c1377ae24b3113d2dc504b4ab064872fcb8a79",
+        "9e08d382a7aea13e085cdd8dc061b0434fed2805ccb62e758e8a0d3d3be661b2"),
+    "bench/problems/adjoint_aff1.json": (
+        "eb4c28286c61f52242401ef16189b3b216c415790450e3ec173fdeac9470940f",
+        "37630e5c4e2dd9a92213a40848814e16087897ba827f6a7c30ee20565bc8963a",
+        "feeef840ac82d3177431da6b3c350797a1c374a85fb2f89091d433bfa394b2db",
+        "cb9359088317fb1d4f36fc16ba2b8f5b52eb0e2cb9bffd3e1b57683b6d4ad846"),
+    "bench/problems/glphi_proj_adjoint.json": (
+        "093c9a8ff392876bae733545d6ced2ceef25acfcb06b57f1ee6540d55a76da09",
+        "77cb476ece9aeac6acbea0fed6294e718dbf3c30869dd28d8f1f3c8ad93016e8",
+        "59c1aec2ee4a5b2a099f18a70d54554a34c3049d8446c5c0ae1e7702ee2c821f",
+        "bfd9e0aec72c0f1b203de29b6e05b0f1e4eccf84f5d781434051970353d86d6a"),
+    "bench/problems/glphi_zero_adjoint.json": (
+        "4532bb1ecf535b2b9647b224c154cab3ef089028b2bcaaf617be30b55e4d0ce6",
+        "ef08479098b81f38509e03abfd786bd5d540dd8b9cb769738dd79bb43ea71ae9",
+        "92704fc082edc22421781905a336fa30cf06e125b76408a8814c7c4f8ab9de49",
+        "82523f4c17496c118e435699233e37663816200350a5bd551b3937c748d3288e"),
+    "bench/problems/heisenberg_g0_adjoint.json": (
+        "3930e32ea9d6b14ad6003dbed9733e30157112fbf4a65a5b9fb037c49703eca4",
+        "b20def99b34973452660f7b09222c93f5d2c265e0dfbf8539fd9772d20b73c43",
+        "9b44212955f6d18b41c8c721944c38d9c91338600fe7d0ccfcc77396dc5b0b3f",
+        "082d1784f6956ef0953937455130e1a9a95f87f8707480b9b937dce65bbfcb36"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NABLA_SHA256))
+def test_nabla_pinned_by_hash(name):
+    ctx = load_problem(os.path.join(ROOT, name)).context()
+    got = tuple(hashlib.sha256(repr(ctx.nabla(n)).encode()).hexdigest()
+                for n in range(4))
+    assert got == NABLA_SHA256[name]

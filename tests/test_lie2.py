@@ -10,7 +10,7 @@ from lie2coh.lie2 import (CrossedModuleAlg, TwoVectorSpace,
                           validate_crossed_module, lie2_arrows,
                           xmod_from_quadruple, structure_report,
                           nerve_algebra, simplicial_maps, face_matrix,
-                          final_target_matrix, gl_phi)
+                          final_target_matrix, gl_phi, NerveAlgebra)
 from lie2coh.samples import rng_from_seed, random_crossed_module
 
 
@@ -169,6 +169,59 @@ def test_nerve_levels():
         x = random_crossed_module(rng, 2)
         for p in range(4):
             assert validate_lie_algebra(nerve_algebra(x, p).underlying) == []
+
+
+def dense_nerve_algebra(x, p):
+    """The bracket of g_p from dense arrow vectors, one basis pair at a
+    time: the oracle for nerve_algebra."""
+    assert p >= 0
+    dg, dh = x.g.dim, x.h.dim
+    d = p * dg + dh
+
+    def split(v):
+        xs = [v[k * dg:(k + 1) * dg] for k in range(p)]
+        return xs, v[p * dg:]
+
+    def bracket(u, v):
+        xs_u, y_u = split(u)
+        xs_v, y_v = split(v)
+        mus_u = [x.mu.apply(xk) for xk in xs_u]
+        mus_v = [x.mu.apply(xk) for xk in xs_v]
+        out = []
+        for j in range(p):
+            bu = list(y_u)
+            bv = list(y_v)
+            for k in range(j + 1, p):
+                bu = [a + b for a, b in zip(bu, mus_u[k])]
+                bv = [a + b for a, b in zip(bv, mus_v[k])]
+            slot = [a + b - c for a, b, c in
+                    zip(x.g.bracket(xs_u[j], xs_v[j]),
+                        x.action.act(bu).apply(xs_v[j]),
+                        x.action.act(bv).apply(xs_u[j]))]
+            out.extend(slot)
+        out.extend(x.h.bracket(y_u, y_v))
+        return out
+
+    brackets = {}
+    for i in range(d):
+        ei = _unit(d, i)
+        for j in range(i + 1, d):
+            vec = bracket(ei, _unit(d, j))
+            if any(c != 0 for c in vec):
+                brackets[(i, j)] = vec
+    return NerveAlgebra(x, p, LieAlgebra(d, brackets))
+
+
+def test_nerve_algebra_matches_dense_formula():
+    xmods = [random_crossed_module(rng_from_seed(k), 2) for k in range(30)]
+    xmods.append(gl_phi(TwoVectorSpace(2, 2, Matrix.zero(2, 2))))
+    xmods.append(trivial_g_xmod(LieAlgebra.heisenberg3()))
+    for x in xmods:
+        for p in range(5):
+            got = nerve_algebra(x, p).underlying
+            want = dense_nerve_algebra(x, p).underlying
+            assert got.dim == want.dim
+            assert got.brackets == want.brackets, (p, x)
 
 
 def test_faces_level_zero():

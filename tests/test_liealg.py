@@ -1,13 +1,14 @@
 """Lie algebras, representations, and the Chevalley-Eilenberg differential."""
 
 import random
+from fractions import Fraction
 from math import comb
 
 from lie2coh.numeric import Matrix
 from lie2coh.liealg import (LieAlgebra, Representation, validate_lie_algebra,
                             validate_representation, ce_differential)
 from lie2coh.samples import (rng_from_seed, random_lie_algebra,
-                             _commuting_rep)
+                             _commuting_rep, random_context)
 
 
 def test_abelian_valid():
@@ -110,3 +111,39 @@ def test_ce_squares_to_zero_random():
         for q in range(g.dim + 1):
             d2 = ce_differential(rep, q + 1) * ce_differential(rep, q)
             assert d2.is_zero(), (g.brackets, q)
+
+
+def _combination(coeffs, mats, rows, cols):
+    """sum_i c_i M_i term by term, by Matrix arithmetic."""
+    out = Matrix.zero(rows, cols)
+    for c, m in zip(coeffs, mats):
+        out = out + m.scale(c)
+    return out
+
+
+def test_act_and_rho1_of_are_linear_combinations():
+    rng = random.Random(5)
+    span = [0, 0, 1, -2, Fraction(1, 2), Fraction(-3, 4), Fraction(4, 2)]
+    for k in range(25):
+        x, r = random_context(rng_from_seed(300 + k), 2)
+        reps = [(x.action, x.g.dim, x.g.dim), (r.rho0_w, r.target.dim_w,
+                                               r.target.dim_w),
+                (r.rho0_v, r.target.dim_v, r.target.dim_v)]
+        for rep, rows, cols in reps:
+            for y in ([0] * x.h.dim,
+                      [rng.choice(span) for _ in range(x.h.dim)]):
+                want = _combination(y, rep.mats, rows, cols)
+                assert rep.act(y) == want
+                assert (rep.act(y).rows, rep.act(y).cols) == (rows, cols)
+        for xv in ([0] * x.g.dim,
+                   [rng.choice(span) for _ in range(x.g.dim)]):
+            want = _combination(xv, r.rho1, r.target.dim_w, r.target.dim_v)
+            assert r.rho1_of(xv) == want
+    # true fractions in the matrices as well as in the coefficients
+    h = LieAlgebra.abelian(2)
+    mats = [Matrix(2, 2, [["1/2", 0], [3, "-2/3"]]),
+            Matrix(2, 2, [[0, "5/7"], ["1/3", 1]])]
+    rep = Representation(h, 2, mats)
+    for y in ([0, 0], [Fraction(2, 3), 0], [Fraction(1, 2), -3],
+              [Fraction(3, 5), Fraction(-7, 2)]):
+        assert rep.act(y) == _combination(y, mats, 2, 2)
