@@ -29,10 +29,8 @@ rows: every term of a target basis pair expands its sparse arguments onto
 source basis pairs and adds its coefficient map, turned into sparse rows
 once per matrix, at the matching offsets.  The faces of g_p enter as
 sparse columns, cached per (p, k) on the context, and the nerve brackets
-come from the structure constants (``nerve_algebra``).  The component
-cache keeps the rows next to the Matrix that ``component_matrix`` returns
-until ``nabla`` places their nonzeros; nabla_n is cached, so the rows are
-dropped then and memory holds one copy of each component.
+come from the structure constants (``nerve_algebra``).  ``nabla`` places
+the nonzeros of each component at its block offsets.
 
 Trivial coefficients are no separate complex: they are the unit
 2-representation (W = 0, V = Q, every action zero) restricted to its
@@ -141,12 +139,10 @@ class LatticeContext:
         self.dv = rep.target.dim_v
         self.phi = rep.target.phi
         self._nerves = {}
-        self._faces = {}
         self._face_cols = {}
         self._targets = {}
         self._spaces = {}
         self._mats = {}
-        self._rows = {}
         self._nablas = {}
         # rho0^1(mu(e_j)) per g-basis vector as sparse rows, for delta_one
         self._rho01_mu = [_sparse_rows(rep.rho0_w.act(x.mu.col(j)).data)
@@ -169,10 +165,7 @@ class LatticeContext:
         return self._nerves[p]
 
     def face(self, p, k):
-        key = (p, k)
-        if key not in self._faces:
-            self._faces[key] = face_matrix(self.x, p, k)
-        return self._faces[key]
+        return face_matrix(self.x, p, k)
 
     def face_columns(self, p, k):
         """The k-th face g_{p+1} -> g_p as sparse columns."""
@@ -208,24 +201,23 @@ class LatticeContext:
         if key in self._mats:
             return self._mats[key]
         if kind == "deltaR":
-            built = self._build_delta_r(p, q, r)
+            mat = self._build_delta_r(p, q, r)
         elif kind == "delta1":
-            built = self._build_delta_one(p, q, r)
+            mat = self._build_delta_one(p, q, r)
         elif kind == "partial":
-            built = self._build_partial(p, q, r)
+            mat = self._build_partial(p, q, r)
         elif kind == "DeltaK":
             if k is None or not 1 <= k <= r:
                 raise ValueError("difference order out of range: k=%r, r=%d"
                                  % (k, r))
-            built = self._build_delta_k(p, q, r, k)
+            mat = self._build_delta_k(p, q, r, k)
         else:
             raise ValueError("unknown component kind %r" % (kind,))
-        # the sparse rows wait here until nabla places their nonzeros
-        self._mats[key], self._rows[key] = built
-        return self._mats[key]
+        self._mats[key] = mat
+        return mat
 
     def _assemble(self, src, tgt, term_gen):
-        """A component as (Matrix, rows), rows as {column: value} dicts.
+        """A component, accumulated as {column: value} rows.
 
         term_gen(I, J) yields the terms of the target basis pair (I, J):
         (sign, coefficient rows, gp_args, g_args), the coefficient map as
@@ -265,7 +257,7 @@ class LatticeContext:
         for out, row in zip(data, rows):
             for j, x in row.items():
                 out[j] = x
-        return Matrix._of(tgt.total_dim, src.total_dim, data), rows
+        return Matrix._of(tgt.total_dim, src.total_dim, data)
 
     def _build_delta_r(self, p, q, r):
         src = self.space(p, q, r)
@@ -406,19 +398,16 @@ class LatticeContext:
         out = Matrix.zero(tgt_dim, src_dim)
 
         def place(tgt_block, src_block, sign, kind, k=None):
-            self.component_matrix(kind, *src_block, k)
-            # nabla_n is cached, so each component's rows are placed once
-            rows = self._rows.pop((kind,) + src_block + (k,))
+            mat = self.component_matrix(kind, *src_block, k)
             if tgt_block not in tgt_offs:
                 return
             r0 = tgt_offs[tgt_block]
             c0 = src_offs[src_block]
-            for i, row in enumerate(rows, r0):
-                if row:
-                    orow = out.data[i]
-                    for j, x in row.items():
-                        if x:
-                            orow[c0 + j] += sign * x
+            for i, row in enumerate(mat.data, r0):
+                orow = out.data[i]
+                for j, x in enumerate(row, c0):
+                    if x:
+                        orow[j] += sign * x
 
         for (p, q, r) in self.degree_blocks(n):
             src = (p, q, r)

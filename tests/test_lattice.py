@@ -352,13 +352,27 @@ def test_nabla_refused_before_allocation(monkeypatch):
     matrix."""
     x = gl_phi(TwoVectorSpace(2, 2, Matrix.zero(2, 2)))
     ctx = LatticeContext(x, adjoint_rep(x))
-    init = Matrix.__init__
+    init, of, zero = Matrix.__init__, Matrix._of, Matrix.zero
 
-    def small_only(self, rows, cols, data=None):
+    def small(rows, cols):
         assert rows * cols <= 10 ** 6, "allocated %d x %d" % (rows, cols)
+
+    def small_init(self, rows, cols, data=None):
+        small(rows, cols)
         init(self, rows, cols, data)
 
-    monkeypatch.setattr(Matrix, "__init__", small_only)
+    def small_of(cls, rows, cols, data):
+        small(rows, cols)
+        return of(rows, cols, data)
+
+    def small_zero(rows, cols):
+        # checked before zero builds its rows
+        small(rows, cols)
+        return zero(rows, cols)
+
+    monkeypatch.setattr(Matrix, "__init__", small_init)
+    monkeypatch.setattr(Matrix, "_of", classmethod(small_of))
+    monkeypatch.setattr(Matrix, "zero", staticmethod(small_zero))
     with pytest.raises(ValueError, match=r"nabla_4: 21532 x 6804 "):
         ctx.nabla(4)
     assert 21532 * 6804 > MAX_NABLA_CELLS
