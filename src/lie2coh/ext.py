@@ -6,7 +6,7 @@ from .numeric import (Matrix, Q0, Q1, rank, rank_and_kernel, solve_linear,
                       vectors_matrix, increasing_tuples)
 from .liealg import Representation, _unit
 from .lie2 import TwoVectorSpace, validate_crossed_module
-from .tworep import TwoRep, validate_two_rep, twisted_semidirect
+from .tworep import TwoRep, twisted_semidirect
 from .lattice import LatticeContext, LatticeCochain, trivial_context
 
 # names of the cocycle equations, keyed by the lattice block where each
@@ -121,17 +121,22 @@ def zero_cocycle(ctx):
 def contexts_match(a, b):
     """Structural equality of two lattice contexts (same crossed module
     data and the same 2-representation matrices)."""
-    if a is b:
-        return True
-    return (a.dg == b.dg and a.dh == b.dh and a.dw == b.dw and a.dv == b.dv
-            and a.x.g.brackets == b.x.g.brackets
-            and a.x.h.brackets == b.x.h.brackets
-            and a.x.mu == b.x.mu
-            and a.x.action.mats == b.x.action.mats
-            and a.phi == b.phi
-            and a.rep.rho1 == b.rep.rho1
-            and a.rep.rho0_w.mats == b.rep.rho0_w.mats
-            and a.rep.rho0_v.mats == b.rep.rho0_v.mats)
+    return a is b or _same_two_rep(a.rep, b.rep)
+
+
+def _same_two_rep(a, b):
+    """Equal crossed module data and equal 2-representation matrices."""
+    xa, xb = a.source, b.source
+    return ((xa is xb
+             or (xa.g.dim == xb.g.dim and xa.h.dim == xb.h.dim
+                 and xa.g.brackets == xb.g.brackets
+                 and xa.h.brackets == xb.h.brackets
+                 and xa.mu == xb.mu
+                 and xa.action.mats == xb.action.mats))
+            and a.target.phi == b.target.phi
+            and a.rho1 == b.rho1
+            and a.rho0_w.mats == b.rho0_w.mats
+            and a.rho0_v.mats == b.rho0_v.mats)
 
 
 class ExtensionResult:
@@ -139,14 +144,14 @@ class ExtensionResult:
     with the inclusion/projection data of both exact rows."""
 
     def __init__(self, total, include_w, include_v, project_g, project_h,
-                 omega1, base=None):
+                 omega1, ctx=None):
         self.total = total
         self.include_w = include_w
         self.include_v = include_v
         self.project_g = project_g
         self.project_h = project_h
         self.omega1 = omega1
-        self.base = base
+        self.ctx = ctx      # the lattice context of the cocycle, if known
 
     def rows_exact(self):
         """include injective, project surjective, ker(project) = im(include)."""
@@ -187,7 +192,7 @@ def extension_from_cocycle(c):
         total, Matrix.zero(dg, dw).vstack(Matrix.identity(dw)),
         Matrix.zero(dh, dv).vstack(Matrix.identity(dv)),
         Matrix.identity(dg).hstack(Matrix.zero(dg, dw)),
-        Matrix.identity(dh).hstack(Matrix.zero(dh, dv)), omega1, base=ctx.x)
+        Matrix.identity(dh).hstack(Matrix.zero(dh, dv)), omega1, ctx=ctx)
 
 
 def canonical_splitting(e):
@@ -224,8 +229,8 @@ def cocycle_from_extension(e, sigma0, sigma1, base_x=None):
         assert sol is not None, "value not in V"
         return sol
 
-    if base_x is None:
-        base_x = e.base
+    if base_x is None and e.ctx is not None:
+        base_x = e.ctx.x
     assert base_x is not None, "extension carries no base crossed module"
     x = base_x
 
@@ -249,8 +254,12 @@ def cocycle_from_extension(e, sigma0, sigma1, base_x=None):
     rep = TwoRep(x, _target_of(e), rho1_mats,
                  Representation(x.h, dw, rho0_w_mats),
                  Representation(x.h, dv, rho0_v_mats))
-    assert not validate_two_rep(rep), "extracted 2-representation invalid"
-    ctx = LatticeContext(x, rep)
+    # the cocycle's own context when the splitting induces its
+    # 2-representation again (its nabla_2 is built already); otherwise a
+    # new one, which validates the extracted 2-representation
+    ctx = e.ctx
+    if ctx is None or not _same_two_rep(ctx.rep, rep):
+        ctx = LatticeContext(x, rep)
 
     om0 = []
     for (a, b) in increasing_tuples(dh, 2):

@@ -24,13 +24,17 @@ on the difference maps are calibrated so that nabla^2 = 0 holds as an
 exact matrix identity (the guarded invariant); ``_delta_sign`` below
 gives them, and a regression test freezes its values.
 
-Assembly is sparse.  Each component is accumulated as {column: value}
-rows: every term of a target basis pair expands its sparse arguments onto
-source basis pairs and adds its coefficient map, turned into sparse rows
-once per matrix, at the matching offsets.  The faces of g_p enter as
-sparse columns, cached per (p, k) on the context, and the nerve brackets
-come from the structure constants (``nerve_algebra``).  ``nabla`` places
-the nonzeros of each component at its block offsets.
+Assembly and storage are sparse.  Each component is accumulated as
+{column: value} rows: every term of a target basis pair expands its
+sparse arguments onto source basis pairs and adds its coefficient map,
+turned into sparse rows once per matrix, at the matching offsets.  The
+faces of g_p enter as sparse columns, cached per (p, k) on the context,
+and the nerve brackets come from the structure constants
+(``nerve_algebra``).  Components and each nabla_n are ``SparseMatrix``
+rows of their nonzeros: ``nabla`` copies each component's rows to its
+block offsets, ``nabla_squared_blocks`` multiplies the sparse rows, and
+``total_cohomology`` eliminates them, so no dense nabla is built on the
+way to H^n.  Their ``data`` is a dense view, built only when read.
 
 Trivial coefficients are no separate complex: they are the unit
 2-representation (W = 0, V = Q, every action zero) restricted to its
@@ -40,12 +44,13 @@ the constants, consists of cocycles of the whole lattice, so for n >= 1
 the restriction and the full unit lattice have the same H^n.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 
-from .numeric import (Matrix, Q0, rank, rank_and_kernel, vectors_matrix,
-                      increasing_tuples, _demote, _echelon,
-                      _sparse_rows)
+from .numeric import (Matrix, SparseMatrix, Q0, rank, rank_and_kernel,
+                      vectors_matrix, increasing_tuples, _demote, _echelon,
+                      _nonzero, _row_copies, _sparse_rows)
 from .liealg import _unit, _sort_sign, sparse_columns
 from .lie2 import (TwoVectorSpace, nerve_algebra, face_matrix,
                    final_target_matrix, validate_crossed_module)
@@ -59,9 +64,10 @@ def _delta_sign(k, q, r):
     return -1 if ((k - 1) * q + r + k // 2) % 2 else 1
 
 
-# Largest nabla_n, in rows x cols, that nabla() builds.  The matrix is a
-# dense list of rows, so this many cells hold 160 MB of list slots before
-# any entry object; the tests and the benchmark build at most 0.9M.
+# Largest nabla_n, in rows x cols, that nabla() builds.  nabla_n is stored
+# sparse, but its dense view (``data``) has this many cells, 160 MB of
+# list slots before any entry object.  The benchmark builds at most 0.9M
+# cells; the tests build a 13.6M-cell nabla_3 and never view it dense.
 MAX_NABLA_CELLS = 20_000_000
 
 
@@ -253,11 +259,8 @@ class LatticeContext:
                                 for b, x in entries.items():
                                     b += col0
                                     row[b] = row.get(b, 0) + val * x
-        data = [[0] * src.total_dim for _ in rows]
-        for out, row in zip(data, rows):
-            for j, x in row.items():
-                out[j] = x
-        return Matrix._of(tgt.total_dim, src.total_dim, data)
+        return SparseMatrix(tgt.total_dim, src.total_dim,
+                            [_nonzero(row) for row in rows])
 
     def _build_delta_r(self, p, q, r):
         src = self.space(p, q, r)
@@ -382,10 +385,11 @@ class LatticeContext:
         return offs, pos
 
     def nabla(self, n):
-        """The total differential C^n_tot -> C^{n+1}_tot as one matrix.
+        """The total differential C^n_tot -> C^{n+1}_tot as one sparse
+        matrix.
 
-        Raises ValueError, before allocating, if it would have more than
-        MAX_NABLA_CELLS cells."""
+        Raises ValueError, before building anything, if it would have
+        more than MAX_NABLA_CELLS cells."""
         if n in self._nablas:
             return self._nablas[n]
         src_offs, src_dim = self.block_offsets(n)
@@ -395,19 +399,19 @@ class LatticeContext:
                              "exceeds the limit of %d"
                              % (n, tgt_dim, src_dim, tgt_dim * src_dim,
                                 MAX_NABLA_CELLS))
-        out = Matrix.zero(tgt_dim, src_dim)
+        out = [{} for _ in range(tgt_dim)]
 
         def place(tgt_block, src_block, sign, kind, k=None):
+            # the components out of one source block go to distinct target
+            # blocks, so each cell of nabla is written once
             mat = self.component_matrix(kind, *src_block, k)
             if tgt_block not in tgt_offs:
                 return
-            r0 = tgt_offs[tgt_block]
             c0 = src_offs[src_block]
-            for i, row in enumerate(mat.data, r0):
-                orow = out.data[i]
-                for j, x in enumerate(row, c0):
-                    if x:
-                        orow[j] += sign * x
+            for i, row in enumerate(mat.sparse, tgt_offs[tgt_block]):
+                orow = out[i]
+                for j, x in row.items():
+                    orow[c0 + j] = x if sign > 0 else -x
 
         for (p, q, r) in self.degree_blocks(n):
             src = (p, q, r)
@@ -417,25 +421,25 @@ class LatticeContext:
             for k in range(1, r + 1):
                 place((p + 1, q + k, r - k), src, _delta_sign(k, q, r),
                       "DeltaK", k)
-        self._nablas[n] = out
-        return out
+        self._nablas[n] = SparseMatrix(tgt_dim, src_dim, out)
+        return self._nablas[n]
 
     def nabla_squared_blocks(self, n):
-        """Nonzero blocks of nabla_{n+1} nabla_n, for diagnostics."""
+        """Nonzero blocks of nabla_{n+1} nabla_n, for diagnostics, as
+        (source block, target block) pairs in block order."""
         prod = self.nabla(n + 1) * self.nabla(n)
-        if prod.is_zero():
-            return []
         src_offs, _ = self.block_offsets(n)
         tgt_offs, _ = self.block_offsets(n + 2)
-        bad = []
-        for sb, so in src_offs.items():
-            sd = self.cochain_dim(*sb)
-            for tb, to in tgt_offs.items():
-                td = self.cochain_dim(*tb)
-                if any(prod.data[to + i][so + j] != 0
-                       for i in range(td) for j in range(sd)):
-                    bad.append((sb, tb))
-        return bad
+        src_blocks, src_starts = list(src_offs), list(src_offs.values())
+        tgt_blocks, tgt_starts = list(tgt_offs), list(tgt_offs.values())
+        hit = set()
+        for i, row in enumerate(prod.sparse):
+            if row:
+                tb = tgt_blocks[bisect_right(tgt_starts, i) - 1]
+                for j in row:
+                    hit.add((src_blocks[bisect_right(src_starts, j) - 1], tb))
+        # the block order of a degree is the sorted order of (p, q, r)
+        return sorted(hit)
 
     def total_cohomology(self, n):
         """(dim H^n, representative cocycle vectors).
@@ -451,7 +455,7 @@ class LatticeContext:
         # i-th coordinates
         if n:
             image = self.nabla(n - 1)
-            rows, width = _sparse_rows(image.data), image.cols
+            rows, width = _row_copies(image), image.cols
         else:
             rows, width = [{} for _ in range(dn.cols)], 0
         for k, v in enumerate(kernel):
@@ -610,8 +614,9 @@ def trivial_total_complex(x, n):
     ctx = trivial_context(x)
     rows = ctx.block_offsets(n + 1)[0][(n + 1, 0, 0)]
     cols = ctx.block_offsets(n)[0][(n, 0, 0)]
-    return Matrix(rows, cols,
-                  [row[:cols] for row in ctx.nabla(n).data[:rows]])
+    return SparseMatrix(rows, cols,
+                        [{j: x for j, x in row.items() if j < cols}
+                         for row in ctx.nabla(n).sparse[:rows]])
 
 
 def trivial_cohomology_dim(x, n):

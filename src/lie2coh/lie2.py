@@ -320,36 +320,23 @@ def face_matrix(x, p, k):
     """The k-th face g_{p+1} -> g_p, 0 <= k <= p+1, as a matrix."""
     assert 0 <= k <= p + 1
     dg, dh = x.g.dim, x.h.dim
-    src = (p + 1) * dg + dh
-    tgt = p * dg + dh
-    m = Matrix.zero(tgt, src)
-
-    def put_block(row0, col0, block):
-        for i in range(block.rows):
-            for j in range(block.cols):
-                if block.data[i][j] != 0:
-                    m.data[row0 + i][col0 + j] = block.data[i][j]
-
-    eye_g = Matrix.identity(dg)
-    eye_h = Matrix.identity(dh)
-    if k == 0:
-        for j in range(p):
-            put_block(j * dg, (j + 1) * dg, eye_g)
-        put_block(p * dg, (p + 1) * dg, eye_h)
-    elif k <= p:
-        # slots 0..k-2 copied; slot k-1 gets x^{k-1} + x^k; rest shifted
-        for j in range(k - 1):
-            put_block(j * dg, j * dg, eye_g)
-        put_block((k - 1) * dg, (k - 1) * dg, eye_g)
-        put_block((k - 1) * dg, k * dg, eye_g)
-        for j in range(k, p):
-            put_block(j * dg, (j + 1) * dg, eye_g)
-        put_block(p * dg, (p + 1) * dg, eye_h)
-    else:
-        for j in range(p):
-            put_block(j * dg, j * dg, eye_g)
-        put_block(p * dg, (p + 1) * dg, eye_h)
-        put_block(p * dg, p * dg, x.mu)
+    m = Matrix.zero(p * dg + dh, (p + 1) * dg + dh)
+    rows = m.data
+    # g-slot j of the target sums source slot j (below the face, j < k)
+    # and source slot j + 1 (from the face on, j >= k - 1)
+    for j in range(p):
+        slots = [j] if j < k else []
+        if j >= k - 1:
+            slots.append(j + 1)
+        for s in slots:
+            for a in range(dg):
+                rows[j * dg + a][s * dg + a] = 1
+    # the h-slot is copied; the last face also adds mu of g-slot p
+    for b in range(dh):
+        row = rows[p * dg + b]
+        row[(p + 1) * dg + b] = 1
+        if k == p + 1:
+            row[p * dg:(p + 1) * dg] = x.mu.data[b]
     return m
 
 

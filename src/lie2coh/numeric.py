@@ -8,6 +8,14 @@ which is unique, so every result read off it is independent of the
 elimination order and cohomology dimensions come out as honest integers.
 Jets carry float coefficients and exist only to extract derivatives of
 matrix-group formulas exactly (no finite differences).
+
+Two matrix containers share one interface.  ``Matrix`` is dense and
+row-major; callers build and write its ``data`` in place.
+``SparseMatrix``, a subclass, stores only the rows of nonzero entries
+as {column: value} dicts; the lattice keeps its components and total
+differentials in it, which are mostly zeros.  Its ``data`` is a
+read-only dense view built on first read; products, ``apply``,
+``is_zero`` and the elimination read the sparse rows.
 """
 
 from fractions import Fraction
@@ -169,6 +177,65 @@ class Matrix:
         return [self.col(j) for j in range(self.cols)]
 
 
+class SparseMatrix(Matrix):
+    """Rational matrix stored as its rows of nonzero entries: {column:
+    value} dicts, integral values as ints.
+
+    ``data`` is a dense view, built on first read and kept; it cannot be
+    assigned, and writes into it are not seen by the sparse rows.  The
+    inherited comparison, hash, repr, transpose, sums and scaling work
+    through the view and return dense matrices."""
+
+    __slots__ = ("sparse", "_dense")
+
+    def __init__(self, rows, cols, sparse):
+        assert len(sparse) == rows
+        self.rows = rows
+        self.cols = cols
+        self.sparse = sparse
+        self._dense = None
+
+    @property
+    def data(self):
+        if self._dense is None:
+            dense = Matrix.zero(self.rows, self.cols).data
+            for out, row in zip(dense, self.sparse):
+                for j, x in row.items():
+                    out[j] = x
+            self._dense = dense
+        return self._dense
+
+    def is_zero(self):
+        return not any(self.sparse)
+
+    def __mul__(self, other):
+        if not isinstance(other, Matrix):
+            return self.scale(other)
+        assert self.cols == other.rows, (self.cols, other.rows)
+        right = other.sparse if isinstance(other, SparseMatrix) \
+            else _sparse_rows(other.data)
+        out = []
+        for row in self.sparse:
+            acc = {}
+            for k, a in row.items():
+                for j, b in right[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append(_nonzero(acc))
+        return SparseMatrix(self.rows, other.cols, out)
+
+    def apply(self, vec):
+        assert len(vec) == self.cols
+        out = []
+        for row in self.sparse:
+            s = 0
+            for j, a in row.items():
+                x = vec[j]
+                if x:
+                    s += a * x
+            out.append(s)
+        return out
+
+
 def linear_combination(coeffs, mats, rows, cols):
     """The rows x cols matrix sum_i c_i M_i, formed in one pass over the
     nonzero entries of the M_i whose coefficient is nonzero."""
@@ -191,9 +258,24 @@ def _demote(x):
     return x
 
 
+def _nonzero(row):
+    """A {column: value} row without its zero entries, integral values as
+    ints."""
+    return {j: x if type(x) is int else _demote(x)
+            for j, x in row.items() if x}
+
+
 def _sparse_rows(data):
     """The nonzero entries of dense rows as {column: value} dicts."""
     return [{j: _demote(x) for j, x in enumerate(row) if x} for row in data]
+
+
+def _row_copies(m):
+    """Fresh {column: value} rows of m's nonzero entries, for an
+    elimination to consume."""
+    if isinstance(m, SparseMatrix):
+        return [dict(row) for row in m.sparse]
+    return _sparse_rows(m.data)
 
 
 def _add_multiple(row, f, other):
@@ -248,7 +330,7 @@ def _rref(rows):
 def rank_and_kernel(m):
     """Rank of m and a basis of its right kernel (list of vectors), one
     vector per free column of the reduced echelon form."""
-    reduced = _rref(_sparse_rows(m.data))
+    reduced = _rref(_row_copies(m))
     basis = {}                       # free column -> its vector, in order
     for fc in range(m.cols):
         if fc not in reduced:
@@ -262,7 +344,7 @@ def rank_and_kernel(m):
 
 
 def rank(m):
-    return len(_echelon(_sparse_rows(m.data)))
+    return len(_echelon(_row_copies(m)))
 
 
 class LinearSolver:
@@ -274,7 +356,7 @@ class LinearSolver:
     def __init__(self, a):
         self.matrix = a
         n = a.cols
-        rows = _sparse_rows(a.data)
+        rows = _row_copies(a)
         for i, row in enumerate(rows):
             row[n + i] = 1
         reduced = _rref(rows)
@@ -305,7 +387,7 @@ def solve_linear(m, b):
     """Solve m x = b exactly; None iff b is not in the column space."""
     assert len(b) == m.rows, "dimension mismatch"
     n = m.cols
-    rows = _sparse_rows(m.data)
+    rows = _row_copies(m)
     for row, x in zip(rows, b):
         if x:
             row[n] = _demote(rat(x))

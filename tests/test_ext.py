@@ -14,7 +14,8 @@ from lie2coh.ext import (TwoCocycle, zero_cocycle, extension_from_cocycle,
                          canonical_splitting, cocycle_from_extension,
                          coboundary_solve, cocycle_space_basis,
                          cocycle_from_slice, cocycle_slice_class_count,
-                         trivial_coeff_extension, trivial_cocycle_defects)
+                         trivial_coeff_extension, trivial_cocycle_defects,
+                         contexts_match)
 from lie2coh.samples import rng_from_seed, random_context, random_matrix
 
 
@@ -132,6 +133,30 @@ def test_round_trip_canonical_splitting():
         rep2, back = cocycle_from_extension(ext, sigma0, sigma1, base_x=x)
         assert back == coc
         done += 1
+
+
+def test_extraction_reuses_the_cocycle_context():
+    """The canonical splitting induces the cocycle's own 2-representation,
+    so the extracted cocycle lives on the context the extension recorded;
+    a recorded context with another 2-representation is not reused."""
+    rng = rng_from_seed(74)
+    replaced = 0
+    for _ in range(8):
+        x, rep = random_context(rng, 2)
+        ctx = LatticeContext(x, rep)
+        coc = random_valid_cocycle(ctx, rng)
+        ext = extension_from_cocycle(coc)
+        assert ext.ctx is ctx
+        sigma0, sigma1 = canonical_splitting(ext)
+        _, back = cocycle_from_extension(ext, sigma0, sigma1, base_x=x)
+        assert back.ctx is ctx and back == coc
+        ext.ctx = LatticeContext(x, TwoRep.trivial(x, rep.target))
+        rep2, back = cocycle_from_extension(ext, sigma0, sigma1, base_x=x)
+        if not contexts_match(ext.ctx, ctx):
+            replaced += 1
+            assert back.ctx is not ext.ctx and back.ctx.rep is rep2
+        assert contexts_match(back.ctx, ctx) and back == coc
+    assert replaced
 
 
 def test_splitting_independence():

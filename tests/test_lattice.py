@@ -7,8 +7,8 @@ from math import comb
 
 import pytest
 
-from lie2coh.numeric import (Matrix, Q0, Q1, rank, rank_and_kernel,
-                             vectors_matrix, in_span)
+from lie2coh.numeric import (Matrix, SparseMatrix, Q0, Q1, rank,
+                             rank_and_kernel, vectors_matrix, in_span)
 from lie2coh.liealg import LieAlgebra, Representation, _unit, ce_differential
 from lie2coh.lie2 import CrossedModuleAlg, TwoVectorSpace, gl_phi
 from lie2coh.tworep import TwoRep, adjoint_rep
@@ -346,13 +346,11 @@ def test_adjoint_g0_cohomology_against_ce():
         assert got == [ce.cohomology_dim(n) for n in range(4)] == expect
 
 
-def test_nabla_refused_before_allocation(monkeypatch):
-    """The adjoint 2-representation of gl(phi), phi = 0: Q^2 -> Q^2, has a
-    146.5M-cell nabla_4; it is refused without building any large
-    matrix."""
-    x = gl_phi(TwoVectorSpace(2, 2, Matrix.zero(2, 2)))
-    ctx = LatticeContext(x, adjoint_rep(x))
+def _refuse_large_matrices(monkeypatch, sparse_too=False):
+    """Make the Matrix constructors, and with sparse_too the SparseMatrix
+    one, fail on more than 1M cells, checked before anything is built."""
     init, of, zero = Matrix.__init__, Matrix._of, Matrix.zero
+    sparse_init = SparseMatrix.__init__
 
     def small(rows, cols):
         assert rows * cols <= 10 ** 6, "allocated %d x %d" % (rows, cols)
@@ -370,12 +368,37 @@ def test_nabla_refused_before_allocation(monkeypatch):
         small(rows, cols)
         return zero(rows, cols)
 
+    def small_sparse(self, rows, cols, sparse):
+        small(rows, cols)
+        sparse_init(self, rows, cols, sparse)
+
     monkeypatch.setattr(Matrix, "__init__", small_init)
     monkeypatch.setattr(Matrix, "_of", classmethod(small_of))
     monkeypatch.setattr(Matrix, "zero", staticmethod(small_zero))
+    if sparse_too:
+        monkeypatch.setattr(SparseMatrix, "__init__", small_sparse)
+
+
+def test_nabla_refused_before_allocation(monkeypatch):
+    """The adjoint 2-representation of gl(phi), phi = 0: Q^2 -> Q^2, has a
+    146.5M-cell nabla_4; it is refused without building any large
+    matrix, dense or sparse."""
+    x = gl_phi(TwoVectorSpace(2, 2, Matrix.zero(2, 2)))
+    ctx = LatticeContext(x, adjoint_rep(x))
+    _refuse_large_matrices(monkeypatch, sparse_too=True)
     with pytest.raises(ValueError, match=r"nabla_4: 21532 x 6804 "):
         ctx.nabla(4)
     assert 21532 * 6804 > MAX_NABLA_CELLS
+
+
+def test_cohomology_reached_without_dense_nabla(monkeypatch):
+    """H^3 of the same problem eliminates nabla_3 (6804 x 2000) and
+    nabla_2 (2000 x 496) as sparse rows: no dense matrix of more than 1M
+    cells, not even a dense view, is built on the way."""
+    x = gl_phi(TwoVectorSpace(2, 2, Matrix.zero(2, 2)))
+    ctx = LatticeContext(x, adjoint_rep(x))
+    _refuse_large_matrices(monkeypatch)
+    assert ctx.total_cohomology(3)[0] == 2
 
 
 def test_trivial_cohomology_against_fincomplex():
