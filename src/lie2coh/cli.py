@@ -8,6 +8,7 @@ error.  Reports use the stable line grammar ``CHECK <name>: PASS|FAIL
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -532,9 +533,12 @@ def build_parser():
     return parser
 
 
+# one parser a process: building it costs as much as a small command
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except InputError as exc:

@@ -2,6 +2,8 @@
 cocycle extraction from a splitting, cohomologousness, and the
 trivial-coefficient central-extension construction."""
 
+import weakref
+
 from .numeric import (Matrix, Q0, Q1, rank, rank_and_kernel, solve_linear,
                       vectors_matrix, increasing_tuples)
 from .liealg import Representation, _unit
@@ -353,9 +355,18 @@ def cocycle_from_slice(ctx, u):
                 for i in range(ctx.dv)]))
 
 
-def cocycle_space_basis(ctx):
-    """Basis of the space of valid (omega0, alpha, phimap) triples, in the
-    flat slice coordinates accepted by cocycle_from_slice."""
+# the slice conditions of each live context, built once: the cocycle
+# basis and the class count both start from them
+_SLICE_CONDITIONS = weakref.WeakKeyDictionary()
+
+
+def _slice_conditions(ctx):
+    """The conditions on the flat slice coordinates of cocycle_from_slice,
+    one column per coordinate: nabla_2 of the cochain it gives, then the
+    antisymmetry defect of its derived omega1."""
+    cond = _SLICE_CONDITIONS.get(ctx)
+    if cond is not None:
+        return cond
     n0 = ctx.cochain_dim(0, 2, 0)
     n1 = ctx.cochain_dim(0, 1, 1)
     n2 = ctx.dv * ctx.dg
@@ -376,7 +387,14 @@ def cocycle_space_basis(ctx):
         rows.append(col + anti)
     cond = Matrix(total, len(rows[0]), rows).transpose() \
         if rows else Matrix.zero(0, total)
-    _, kernel = rank_and_kernel(cond)
+    _SLICE_CONDITIONS[ctx] = cond
+    return cond
+
+
+def cocycle_space_basis(ctx):
+    """Basis of the space of valid (omega0, alpha, phimap) triples, in the
+    flat slice coordinates accepted by cocycle_from_slice."""
+    _, kernel = rank_and_kernel(_slice_conditions(ctx))
     return kernel
 
 
@@ -387,7 +405,7 @@ def cocycle_slice_class_count(ctx):
     n1 = ctx.cochain_dim(0, 1, 1)
     n2 = ctx.dv * ctx.dg
     total = n0 + n1 + n2
-    z_dim = len(cocycle_space_basis(ctx))
+    z_dim = total - rank(_slice_conditions(ctx))
 
     # coboundary image inside the slice coordinates
     n_l0 = ctx.cochain_dim(0, 1, 0)

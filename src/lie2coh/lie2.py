@@ -1,8 +1,10 @@
 """Crossed modules of Lie algebras, their nerves, and the linear Lie
 2-algebra gl(phi) of a 2-term complex of vector spaces."""
 
-from .numeric import (Matrix, Q0, Q1, rank_and_kernel, solve_linear,
-                      vectors_matrix, in_span, _demote)
+from fractions import Fraction
+
+from .numeric import (Matrix, SparseMatrix, Q0, Q1, rank_and_kernel,
+                      solve_linear, vectors_matrix, in_span, _demote)
 from .liealg import (LieAlgebra, Representation, validate_lie_algebra,
                      validate_representation, sparse_columns, apply_into,
                      _unit)
@@ -227,7 +229,6 @@ def structure_report(x):
 def _primitive(vec):
     """Scale a rational vector to a primitive integer vector."""
     from math import gcd
-    from fractions import Fraction
     denoms = [x.denominator if isinstance(x, Fraction) else 1 for x in vec]
     lcm = 1
     for d in denoms:
@@ -365,90 +366,127 @@ def gl_phi(v):
     map Delta A = (A phi, phi A); action L_{(F,f)} A = F A - A f.
     Returns the crossed module plus the chosen basis of gl(phi)_0;
     gl_phi(v).h_basis has entries (F, f) as a pair of matrices.
+
+    Everything is read from index formulas, with no matrix product and no
+    solver.  g has the elementary basis E_ij (row i of W, column j of V),
+    flat index i*dim V + j, with
+        [E_ij, E_kl]_phi = phi_jk E_il - phi_li E_kj,
+        Delta E_ij = (E_ij phi, phi E_ij)
+    (row j of phi placed in row i, column i of phi placed in column j) and
+        L_(F,f) E_ij = sum_r F_ri E_rj - sum_c f_jc E_ic.
+    The basis of h is the RREF kernel of the equations phi F = f phi in the
+    flat unknowns (F by rows, then f by rows), each vector scaled to a
+    primitive integer vector.  A kernel vector K_k is the only one nonzero
+    at its own free column free_k, so a pair w satisfying the equations
+    has coordinate w[free_k] / K_k[free_k] on it; Delta and the h-brackets
+    (commutators of the pairs) are read that way, after an exact check of
+    the equations on w.
     """
     dw, dv = v.dim_w, v.dim_v
-    phi = v.phi
-    # solve phi F - f phi = 0 for (F, f) in gl(W) (+) gl(V)
-    unknowns = dw * dw + dv * dv
-    rows = []
+    phi = [[_demote(x) for x in row] for row in v.phi.data]
+    nf = dw * dw                       # F is flat 0..nf-1, f follows
+    unknowns = nf + dv * dv
+    # (phi F - f phi)_ij = sum_k phi_ik F_kj - sum_k f_ik phi_kj, each
+    # row scaled to integers (the row space, so the RREF, is unchanged)
+    cond = []
+    cond_cols = [[] for _ in range(unknowns)]
     for i in range(dv):
         for j in range(dw):
-            row = [Q0] * unknowns
-            # (phi F)_{ij} = sum_k phi_{ik} F_{kj}
-            for k in range(dw):
-                row[k * dw + j] += phi.data[i][k]
-            # (f phi)_{ij} = sum_k f_{ik} phi_{kj}
-            for k in range(dv):
-                row[dw * dw + i * dv + k] -= phi.data[k][j]
-            rows.append(row)
-    cond = Matrix(len(rows), unknowns, rows) if rows else Matrix.zero(0, unknowns)
-    _, kernel = rank_and_kernel(cond)
+            row = {k * dw + j: phi[i][k] for k in range(dw) if phi[i][k]}
+            row.update((nf + i * dv + k, -phi[k][j])
+                       for k in range(dv) if phi[k][j])
+            row = dict(zip(row, _primitive(row.values())))
+            for c, x in row.items():
+                cond_cols[c].append((len(cond), x))
+            cond.append(row)
+    _, kernel = rank_and_kernel(SparseMatrix(len(cond), unknowns, cond))
     kernel = [_primitive(vec) for vec in kernel]
-    h_basis = []
-    for vec in kernel:
-        f_mat = Matrix(dw, dw, [[vec[i * dw + j] for j in range(dw)]
-                                for i in range(dw)])
-        s_mat = Matrix(dv, dv, [[vec[dw * dw + i * dv + j] for j in range(dv)]
-                                for i in range(dv)])
-        h_basis.append((f_mat, s_mat))
-    dh = len(h_basis)
-    from .numeric import LinearSolver
-    solver = LinearSolver(vectors_matrix(kernel, dim=unknowns))
+    # the rest of a kernel vector sits at pivot columns left of its free
+    # column, so the free column is its last nonzero entry
+    free = [max(c for c, x in enumerate(vec) if x) for vec in kernel]
+    h_basis = [(Matrix(dw, dw, [vec[i * dw:(i + 1) * dw] for i in range(dw)]),
+                Matrix(dv, dv, [vec[nf + i * dv:nf + (i + 1) * dv]
+                                for i in range(dv)]))
+               for vec in kernel]
+    dh = len(kernel)
 
-    def h_coords(f_mat, s_mat):
-        flat = ([f_mat.data[i][j] for i in range(dw) for j in range(dw)] +
-                [s_mat.data[i][j] for i in range(dv) for j in range(dv)])
-        sol = solver.solve(flat)
-        assert sol is not None, "pair does not satisfy phi F = f phi"
-        return sol
+    def h_coords(w):
+        defect = {}
+        for c, y in enumerate(w):
+            if y:
+                for r, x in cond_cols[c]:
+                    defect[r] = defect.get(r, 0) + x * y
+        assert not any(defect.values()), "pair does not satisfy phi F = f phi"
+        return [_quotient(w[c], vec[c]) for c, vec in zip(free, kernel)]
 
+    # each pair (F, f) as the sparse rows of F and of f
+    pairs = [[[{j: vec[base + i * n + j] for j in range(n)
+                if vec[base + i * n + j]} for i in range(n)]
+              for base, n in ((0, dw), (nf, dv))]
+             for vec in kernel]
     h_brackets = {}
     for a in range(dh):
-        fa, sa = h_basis[a]
         for b in range(a + 1, dh):
-            fb, sb = h_basis[b]
-            vec = h_coords(fa * fb - fb * fa, sa * sb - sb * sa)
-            if any(c != 0 for c in vec):
+            w = [0] * unknowns
+            for base, n, x, y in zip((0, nf), (dw, dv), pairs[a], pairs[b]):
+                for i in range(n):
+                    for k, p in x[i].items():
+                        for j, q in y[k].items():
+                            w[base + i * n + j] += p * q
+                    for k, p in y[i].items():
+                        for j, q in x[k].items():
+                            w[base + i * n + j] -= p * q
+            vec = h_coords(w)
+            if any(vec):
                 h_brackets[(a, b)] = vec
     h = LieAlgebra(dh, h_brackets)
 
-    # arrow algebra on Hom(V, W): basis E_{ij} (row i of W, col j of V),
-    # flattened index i*dv + j
     dg = dw * dv
-
-    def to_mat(vec):
-        return Matrix(dw, dv, [[vec[i * dv + j] for j in range(dv)]
-                               for i in range(dw)])
-
-    def to_vec(m):
-        return [m.data[i][j] for i in range(dw) for j in range(dv)]
-
     g_brackets = {}
     for a in range(dg):
-        ma = to_mat(_unit(dg, a))
+        i, j = divmod(a, dv)
         for b in range(a + 1, dg):
-            mb = to_mat(_unit(dg, b))
-            vec = to_vec(ma * phi * mb - mb * phi * ma)
-            if any(c != 0 for c in vec):
+            k, l = divmod(b, dv)
+            p, q = phi[j][k], phi[l][i]
+            if p or q:
+                vec = [0] * dg
+                if p:
+                    vec[i * dv + l] = p
+                if q:
+                    vec[k * dv + j] = -q
                 g_brackets[(a, b)] = vec
     g = LieAlgebra(dg, g_brackets)
 
     mu_cols = []
-    for a in range(dg):
-        ma = to_mat(_unit(dg, a))
-        mu_cols.append(h_coords(ma * phi, phi * ma))
-    mu = Matrix(dh, dg, [[mu_cols[j][i] for j in range(dg)]
-                         for i in range(dh)])
+    for i in range(dw):
+        for j in range(dv):
+            w = [0] * unknowns
+            w[i * dw:(i + 1) * dw] = phi[j]
+            for r in range(dv):
+                w[nf + r * dv + j] = phi[r][i]
+            mu_cols.append(h_coords(w))
+    mu = Matrix._of(dh, dg, [[col[k] for col in mu_cols] for k in range(dh)])
 
     mats = []
-    for b in range(dh):
-        fb, sb = h_basis[b]
-        cols = [to_vec(fb * to_mat(_unit(dg, a)) - to_mat(_unit(dg, a)) * sb)
-                for a in range(dg)]
-        mats.append(Matrix(dg, dg, [[cols[j][i] for j in range(dg)]
-                                    for i in range(dg)]))
+    for vec in kernel:
+        m = [[0] * dg for _ in range(dg)]
+        for i in range(dw):
+            for j in range(dv):
+                a = i * dv + j
+                for r in range(dw):
+                    m[r * dv + j][a] += vec[r * dw + i]
+                for c in range(dv):
+                    m[i * dv + c][a] -= vec[nf + j * dv + c]
+        mats.append(Matrix._of(dg, dg, m))
     action = Representation(h, dg, mats)
     x = CrossedModuleAlg(g, h, mu, action)
     x.h_basis = h_basis
     x.two_vector = v
     return x
+
+
+def _quotient(a, b):
+    """a / b for a nonzero int b, exactly, integral quotients as ints."""
+    if type(a) is int and not a % b:
+        return a // b
+    return _demote(Fraction(a, b))

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +23,30 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_main_calls_in_one_process_match_fresh_processes(capsys):
+    """The parser is built once a process; a call must not see what an
+    earlier call with another subcommand or option set parsed."""
+    calls = [["cohomology", ADJOINT, "--degree", "1", "--trivial"],
+             ["validate", ADJOINT],
+             ["cohomology", ADJOINT, "--degree", "1"],
+             ["cohomology", ADJOINT],
+             ["group-checks", "bogus"],
+             ["group-checks", "vanest-heisenberg"]]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["lie2coh"].__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "lie2coh.cli"] + argv,
+                               capture_output=True, text=True, env=env)
+        assert (code, out.out, out.err) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def test_validate_pass(capsys):

@@ -268,6 +268,23 @@ def test_class_count_matches_h2():
         assert cocycle_slice_class_count(ctx) == ctx.total_cohomology(2)[0]
 
 
+def test_class_count_reuses_the_slice_conditions(monkeypatch):
+    """After cocycle_space_basis on a context, the class count builds no
+    slice cochain again; it counts the same either way."""
+    from lie2coh import ext
+    x, rep = random_context(rng_from_seed(12), 2)
+    ctx = LatticeContext(x, rep)
+    cold = cocycle_slice_class_count(LatticeContext(x, rep))
+    cocycle_space_basis(ctx)
+    calls = []
+    original = ext.cocycle_from_slice
+    monkeypatch.setattr(ext, "cocycle_from_slice",
+                        lambda *a: calls.append(a) or original(*a))
+    assert cocycle_slice_class_count(ctx) == cold == \
+        ctx.total_cohomology(2)[0]
+    assert calls == []
+
+
 def test_cohomologous_extensions_isomorphic():
     """psi(z, a) = (z, a + lambda(z)) intertwines the two extensions."""
     rng = rng_from_seed(11)
