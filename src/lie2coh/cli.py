@@ -298,26 +298,30 @@ def cmd_nabla_check(args):
                                   "options.max_degree")
     if args.trials is None:
         args.trials = _as_int(pf.options.get("trials", 0), "options.trials")
+    if min(args.max_degree, args.trials) < 0:
+        raise InputError("--max-degree and --trials (or their options) must "
+                         "be nonnegative, got %d and %d"
+                         % (args.max_degree, args.trials))
     seed = default_seed(args)
     report = []
-    max_degree = args.max_degree
     if pf.two_rep is not None:
         ctx = pf.context()
-        for n in range(max_degree + 1):
+        for n in range(args.max_degree + 1):
             with _refusal_as_input_error():
                 bad = ctx.nabla_squared_blocks(n)
             _check(report, "nabla_squared_file_degree_%d" % n, not bad,
                    "" if not bad else "nonzero blocks %s" % (bad,))
     rng = rng_from_seed(seed)
-    for t in range(args.trials):
-        x, r = random_context(rng, 2)
-        ctx = LatticeContext(x, r)
-        worst = []
-        for n in range(max_degree + 1):
-            worst.extend(ctx.nabla_squared_blocks(n))
-        _check(report, "nabla_squared_random_%d" % t, not worst,
-               "dims (%d,%d,%d,%d)" % (ctx.dg, ctx.dh, ctx.dw, ctx.dv)
-               + ("" if not worst else " nonzero blocks %s" % (worst,)))
+    with _refusal_as_input_error():
+        for t in range(args.trials):
+            x, r = random_context(rng, 2)
+            ctx = LatticeContext(x, r)
+            worst = []
+            for n in range(args.max_degree + 1):
+                worst.extend(ctx.nabla_squared_blocks(n))
+            _check(report, "nabla_squared_random_%d" % t, not worst,
+                   "dims (%d,%d,%d,%d)" % (ctx.dg, ctx.dh, ctx.dw, ctx.dv)
+                   + ("" if not worst else " nonzero blocks %s" % (worst,)))
     if not report:
         _check(report, "nabla_check_empty", False,
                "no two_rep and --trials 0")
@@ -341,16 +345,8 @@ def _load_cocycle(pf, ctx, names):
                              % (name, len(values), ctx.cochain_dim(*idx)))
         vals[label] = values
     # restrict phimap to its g-dependence, recording any dropped h-part
-    space = ctx.space(1, 1, 0)
-    phi_g = Matrix.zero(ctx.dv, ctx.dg)
-    dropped = False
-    for col in range(ctx.dg + ctx.dh):
-        pos = space.block((col,), ())
-        for i in range(ctx.dv):
-            if col < ctx.dg:
-                phi_g.data[i][col] = vals["phimap"][pos + i]
-            elif vals["phimap"][pos + i] != 0:
-                dropped = True
+    phi_g = ctx.block_matrix((1, 1, 0), vals["phimap"], ctx.dg)
+    dropped = ctx.block_values((1, 1, 0), phi_g) != vals["phimap"]
     return TwoCocycle(ctx, vals["omega0"], vals["alpha"], phi_g), dropped
 
 

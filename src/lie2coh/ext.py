@@ -33,34 +33,19 @@ class TwoCocycle:
 
     def __init__(self, ctx, omega0, alpha, phi_g):
         self.ctx = ctx
-        dg, dh, dv = ctx.dg, ctx.dh, ctx.dv
         self.omega0 = LatticeCochain(ctx, 0, 2, 0, omega0)
         self.alpha = LatticeCochain(ctx, 0, 1, 1, alpha)
-        assert phi_g.rows == dv and phi_g.cols == dg
+        assert phi_g.rows == ctx.dv and phi_g.cols == ctx.dg
         self.phi_g = phi_g
-        self.phimap = LatticeCochain(ctx, 1, 1, 0, self._embed_phi())
-
-    def _embed_phi(self):
-        ctx = self.ctx
-        space = ctx.space(1, 1, 0)
-        vals = [Q0] * space.total_dim
-        for a in range(ctx.dg):          # g-block of g_1 comes first
-            pos = space.block((a,), ())
-            for i in range(ctx.dv):
-                vals[pos + i] = self.phi_g.data[i][a]
-        return vals
-
-    def phi_of(self, xvec):
-        return self.phi_g.apply(xvec)
-
-    def alpha_of(self, yvec, xvec):
-        return self.alpha.evaluate([yvec], [xvec])
+        # phimap on g_1 = g (+) h: phi_g on g, zero on h
+        self.phimap = LatticeCochain(ctx, 1, 1, 0,
+                                     ctx.block_values((1, 1, 0), phi_g))
 
     def derived_omega1(self, x0, x1):
         """rho1(x1) phi(x0) + alpha(mu x0; x1)."""
         ctx = self.ctx
-        a = ctx.rep.rho1_of(x1).apply(self.phi_of(x0))
-        b = self.alpha_of(ctx.x.mu.apply(x0), x1)
+        a = ctx.rep.rho1_of(x1).apply(self.phi_g.apply(x0))
+        b = self.alpha.evaluate([ctx.x.mu.apply(x0)], [x1])
         return [p + q for p, q in zip(a, b)]
 
     def omega1_values(self):
@@ -74,18 +59,10 @@ class TwoCocycle:
 
     def total_vector(self):
         """Embedding into C^2_tot with the v and lambda coordinates zero."""
-        ctx = self.ctx
-        offs, dim = ctx.block_offsets(2)
-        vec = [Q0] * dim
-        for block, payload in (((0, 2, 0), self.omega0.values),
-                               ((0, 1, 1), self.alpha.values),
-                               ((1, 1, 0), self.phimap.values),
-                               ((0, 0, 2), self.omega1_values())):
-            if block in offs:
-                base = offs[block]
-                for i, v in enumerate(payload):
-                    vec[base + i] = v
-        return vec
+        return self.ctx.join(2, {(0, 2, 0): self.omega0.values,
+                                 (0, 1, 1): self.alpha.values,
+                                 (1, 1, 0): self.phimap.values,
+                                 (0, 0, 2): self.omega1_values()})
 
     def validate(self):
         """Violated cocycle equations, named after the proposition."""
@@ -96,11 +73,9 @@ class TwoCocycle:
             t = self.derived_omega1(_unit(ctx.dg, b), _unit(ctx.dg, a))
             if any(p + q != 0 for p, q in zip(s, t)):
                 bad.append(("ii", (a, b)))
-        out = ctx.nabla(2).apply(self.total_vector())
-        offs, _ = ctx.block_offsets(3)
-        for block, base in offs.items():
-            size = ctx.cochain_dim(*block)
-            if any(out[base + i] != 0 for i in range(size)):
+        out = ctx.split(3, ctx.nabla(2).apply(self.total_vector()))
+        for block, piece in out.items():
+            if any(x != 0 for x in piece):
                 bad.append((_EQUATION_OF_BLOCK.get(block, str(block)), block))
         return bad
 
@@ -241,18 +216,15 @@ def cocycle_from_extension(e, sigma0, sigma1, base_x=None):
         s_y = sigma0.col(b)
         cols_v = [v_coords(total.h.bracket(s_y, j0.col(a)))
                   for a in range(dv)]
-        rho0_v_mats.append(Matrix(dv, dv, [[cols_v[j][i] for j in range(dv)]
-                                           for i in range(dv)]))
+        rho0_v_mats.append(vectors_matrix(cols_v, dim=dv))
         act = total.action.act(s_y)
         cols_w = [w_coords(act.apply(j1.col(a))) for a in range(dw)]
-        rho0_w_mats.append(Matrix(dw, dw, [[cols_w[j][i] for j in range(dw)]
-                                           for i in range(dw)]))
+        rho0_w_mats.append(vectors_matrix(cols_w, dim=dw))
     for a in range(dg):
         s_x = sigma1.col(a)
         cols = [w_coords([-t for t in total.action.act(j0.col(b)).apply(s_x)])
                 for b in range(dv)]
-        rho1_mats.append(Matrix(dw, dv, [[cols[j][i] for j in range(dv)]
-                                         for i in range(dw)]))
+        rho1_mats.append(vectors_matrix(cols, dim=dw))
     rep = TwoRep(x, _target_of(e), rho1_mats,
                  Representation(x.h, dw, rho0_w_mats),
                  Representation(x.h, dv, rho0_v_mats))
@@ -270,26 +242,24 @@ def cocycle_from_extension(e, sigma0, sigma1, base_x=None):
             sigma0.apply(x.h.bracket(ya, yb)),
             total.h.bracket(sigma0.apply(ya), sigma0.apply(yb)))]
         om0.extend(v_coords(val))
-    alpha_vals = [Q0] * ctx.cochain_dim(0, 1, 1)
-    space = ctx.space(0, 1, 1)
+    # alpha(e_b; e_a) at the basis pairs of (0,1,1), in their order
+    alpha_cols = []
     for b in range(dh):
         act_s = total.action.act(sigma0.col(b))
         for a in range(dg):
             val = [p - q for p, q in zip(
                 sigma1.apply(x.action.mats[b].apply(_unit(dg, a))),
                 act_s.apply(sigma1.col(a)))]
-            wc = w_coords(val)
-            pos = space.block((b,), (a,))
-            for i in range(dw):
-                alpha_vals[pos + i] = wc[i]
+            alpha_cols.append(w_coords(val))
+    alpha_vals = ctx.block_values((0, 1, 1),
+                                  vectors_matrix(alpha_cols, dim=dw))
     phi_cols = []
     for a in range(dg):
         val = [p - q for p, q in zip(
             total.mu.apply(sigma1.col(a)),
             sigma0.apply(x.mu.apply(_unit(dg, a))))]
         phi_cols.append(v_coords(val))
-    phi_g = Matrix(dv, dg, [[phi_cols[j][i] for j in range(dg)]
-                            for i in range(dv)])
+    phi_g = vectors_matrix(phi_cols, dim=dv)
     coc = TwoCocycle(ctx, om0, alpha_vals, phi_g)
     bad = coc.validate()
     assert not bad, "extracted cocycle failed validation: %s" % (bad,)
@@ -305,9 +275,7 @@ def _target_of(e):
         sol = solve_linear(e.include_v, vec)
         assert sol is not None
         cols.append(sol)
-    phi = Matrix(dv, dw, [[cols[j][i] for j in range(dw)]
-                          for i in range(dv)])
-    return TwoVectorSpace(dw, dv, phi)
+    return TwoVectorSpace(dw, dv, vectors_matrix(cols, dim=dv))
 
 
 def coboundary_solve(c1, c2):
@@ -322,25 +290,9 @@ def coboundary_solve(c1, c2):
     sol = solve_linear(ctx.nabla(1), diff)
     if sol is None:
         return None
-    offs, _ = ctx.block_offsets(1)
-    dh, dv, dg, dw = ctx.dh, ctx.dv, ctx.dg, ctx.dw
-    lam0 = Matrix.zero(dv, dh)
-    if (0, 1, 0) in offs:
-        base = offs[(0, 1, 0)]
-        space = ctx.space(0, 1, 0)
-        for b in range(dh):
-            pos = space.block((b,), ())
-            for i in range(dv):
-                lam0.data[i][b] = sol[base + pos + i]
-    lam1 = Matrix.zero(dw, dg)
-    if (0, 0, 1) in offs:
-        base = offs[(0, 0, 1)]
-        space = ctx.space(0, 0, 1)
-        for a in range(dg):
-            pos = space.block((), (a,))
-            for i in range(dw):
-                lam1.data[i][a] = sol[base + pos + i]
-    return lam0, lam1
+    parts = ctx.split(1, sol)
+    return tuple(ctx.block_matrix(b, parts.get(b, []))
+                 for b in ((0, 1, 0), (0, 0, 1)))
 
 
 def cocycle_from_slice(ctx, u):
@@ -367,10 +319,8 @@ def _slice_conditions(ctx):
     cond = _SLICE_CONDITIONS.get(ctx)
     if cond is not None:
         return cond
-    n0 = ctx.cochain_dim(0, 2, 0)
-    n1 = ctx.cochain_dim(0, 1, 1)
-    n2 = ctx.dv * ctx.dg
-    total = n0 + n1 + n2
+    total = (ctx.cochain_dim(0, 2, 0) + ctx.cochain_dim(0, 1, 1)
+             + ctx.dv * ctx.dg)
     rows = []
     nabla2 = ctx.nabla(2)
     for k in range(total):
@@ -401,42 +351,23 @@ def cocycle_space_basis(ctx):
 def cocycle_slice_class_count(ctx):
     """dim of {valid (omega0, alpha, phimap) triples} modulo coboundaries,
     counted directly by linear algebra on the coordinate slice."""
-    n0 = ctx.cochain_dim(0, 2, 0)
-    n1 = ctx.cochain_dim(0, 1, 1)
-    n2 = ctx.dv * ctx.dg
-    total = n0 + n1 + n2
-    z_dim = total - rank(_slice_conditions(ctx))
+    cond = _slice_conditions(ctx)
+    z_dim = cond.cols - rank(cond)
 
     # coboundary image inside the slice coordinates
-    n_l0 = ctx.cochain_dim(0, 1, 0)
-    n_l1 = ctx.cochain_dim(0, 0, 1)
-    offs1, dim1 = ctx.block_offsets(1)
-    offs2, _ = ctx.block_offsets(2)
     nabla1 = ctx.nabla(1)
     cols = []
-    for k in range(n_l0 + n_l1):
-        u = [Q0] * dim1
-        if k < n_l0:
-            u[offs1[(0, 1, 0)] + k] = Q1
-        else:
-            u[offs1[(0, 0, 1)] + k - n_l0] = Q1
-        img = nabla1.apply(u)
-        piece = []
-        piece += [img[offs2[(0, 2, 0)] + i] for i in range(n0)] \
-            if (0, 2, 0) in offs2 else [Q0] * n0
-        piece += [img[offs2[(0, 1, 1)] + i] for i in range(n1)] \
-            if (0, 1, 1) in offs2 else [Q0] * n1
-        # phimap slice coordinates from the (1,1,0) block, g-columns only
-        if (1, 1, 0) in offs2:
-            space = ctx.space(1, 1, 0)
-            base = offs2[(1, 1, 0)]
-            for i in range(ctx.dv):
-                for j in range(ctx.dg):
-                    piece.append(img[base + space.block((j,), ()) + i])
-        else:
-            piece += [Q0] * n2
-        cols.append(piece)
-    b_dim = rank(vectors_matrix(cols, dim=total)) if cols else 0
+    for block in ((0, 1, 0), (0, 0, 1)):        # lambda0, then lambda1
+        size = ctx.cochain_dim(*block)
+        for k in range(size):
+            img = ctx.split(2, nabla1.apply(
+                ctx.join(1, {block: _unit(size, k)})))
+            # phimap slice coordinates by rows, g-columns only
+            phimap = ctx.block_matrix((1, 1, 0), img.get((1, 1, 0), []),
+                                      ctx.dg)
+            cols.append(img.get((0, 2, 0), []) + img.get((0, 1, 1), [])
+                        + [x for row in phimap.data for x in row])
+    b_dim = rank(vectors_matrix(cols, dim=cond.cols)) if cols else 0
     return z_dim - b_dim
 
 
@@ -452,16 +383,13 @@ def trivial_cocycle_defects(x, omega_vals, phi_vals):
     ctx = trivial_context(x)
     assert len(omega_vals) == ctx.cochain_dim(0, 2, 0)
     assert len(phi_vals) == ctx.cochain_dim(1, 1, 0)
-    out = ctx.nabla(2).apply(list(omega_vals) + list(phi_vals) + [Q0])
+    out = ctx.split(3, ctx.nabla(2).apply(ctx.join(
+        2, {(0, 2, 0): omega_vals, (1, 1, 0): phi_vals})))
     names = {(0, 3, 0): "delta_omega",
              (1, 2, 0): "partial_omega_plus_delta_phi",
              (2, 1, 0): "partial_phi"}
-    defects = {}
-    for b, base in ctx.block_offsets(3)[0].items():
-        piece = out[base:base + ctx.cochain_dim(*b)]
-        if any(c != 0 for c in piece):
-            defects[names[b]] = piece
-    return defects
+    return {names[b]: piece for b, piece in out.items()
+            if any(c != 0 for c in piece)}
 
 
 def trivial_coeff_extension(x, omega_vals, phi_vals):

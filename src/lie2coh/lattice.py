@@ -5,7 +5,10 @@ maps, the total differential, and exact cohomology.
 Spaces: C^{p,q}_r = Lambda^q g_p* (x) Lambda^r g* (x) W, with g_0 = h and
 V-valued coefficients on the r = 0 page.  Cochains are stored on strictly
 increasing multi-index pairs; evaluation at arbitrary tuples is the
-alternating multilinear extension.
+alternating multilinear extension.  The context owns the layout of
+C^n_tot, its blocks in sorted (p, q, r) order: ``split`` and ``join``
+convert between a total vector and its blocks, ``block_matrix`` and
+``block_values`` between a block and its matrix of values.
 
 Component maps (q-degree, r-degree and p-degree directions):
 
@@ -148,6 +151,7 @@ class LatticeContext:
         self._face_cols = {}
         self._targets = {}
         self._spaces = {}
+        self._layouts = {}
         self._mats = {}
         self._nablas = {}
         # rho0^1(mu(e_j)) per g-basis vector as sparse rows, for delta_one
@@ -364,25 +368,73 @@ class LatticeContext:
     # -- total differential and cohomology -----------------------------------
 
     def degree_blocks(self, n):
-        """All (p, q, r) with p + q + r = n and a nonzero space."""
-        out = []
-        for p in range(n + 1):
-            for q in range(n - p + 1):
-                r = n - p - q
-                if self.cochain_dim(p, q, r) > 0:
-                    out.append((p, q, r))
-        return out
+        """The (p, q, r) with p + q + r = n and a nonzero space, in order."""
+        return list(self.block_offsets(n)[0])
 
     def total_dim(self, n):
-        return sum(self.cochain_dim(*b) for b in self.degree_blocks(n))
+        return self.block_offsets(n)[1]
 
     def block_offsets(self, n):
-        offs = {}
-        pos = 0
-        for b in self.degree_blocks(n):
-            offs[b] = pos
-            pos += self.cochain_dim(*b)
-        return offs, pos
+        """The layout of C^n_tot, built once per degree and shared (not to
+        be changed): ({(p, q, r): start offset}, dim C^n_tot) over the
+        blocks of degree n with a nonzero space, in sorted order."""
+        if n not in self._layouts:
+            offs = {}
+            pos = 0
+            for p in range(n + 1):
+                for q in range(n - p + 1):
+                    block = (p, q, n - p - q)
+                    dim = self.cochain_dim(*block)
+                    if dim:
+                        offs[block] = pos
+                        pos += dim
+            self._layouts[n] = offs, pos
+        return self._layouts[n]
+
+    def split(self, n, vec):
+        """The blocks of a vector of C^n_tot: {(p, q, r): values}, in block
+        order."""
+        offs, dim = self.block_offsets(n)
+        assert len(vec) == dim
+        return {b: vec[start:start + self.cochain_dim(*b)]
+                for b, start in offs.items()}
+
+    def join(self, n, parts):
+        """The vector of C^n_tot with the given {(p, q, r): values} blocks
+        and Q0 in every block not given.  A block outside degree n, or of
+        dimension zero, takes no values: ValueError on a nonempty part for
+        it, as on a part of the wrong length."""
+        offs, dim = self.block_offsets(n)
+        vec = [Q0] * dim
+        for b, values in parts.items():
+            size = self.cochain_dim(*b) if b in offs else 0
+            if len(values) != size:
+                raise ValueError("block %s takes %d values in degree %d, "
+                                 "got %d" % (b, size, n, len(values)))
+            if size:
+                vec[offs[b]:offs[b] + size] = values
+        return vec
+
+    def block_matrix(self, block, values, cols=None):
+        """The values of a block as the matrix whose column k is the value
+        at its k-th basis tuple pair (its first cols columns if given).
+        For (0,1,0), (0,0,1) and (1,1,0), column k is the value at basis
+        vector k of h, g and g_1 = g (+) h: lambda0, lambda1, phimap."""
+        space = self.space(*block)
+        assert len(values) == space.total_dim
+        rows = space.coeff_dim
+        if cols is None:
+            cols = len(space.gp_tuples) * len(space.g_tuples)
+        return Matrix(rows, cols, [[values[k * rows + i] for k in range(cols)]
+                                   for i in range(rows)])
+
+    def block_values(self, block, m):
+        """Inverse of block_matrix: the values of the block whose first
+        m.cols columns are m, with Q0 in the columns after them."""
+        space = self.space(*block)
+        assert m.rows == space.coeff_dim
+        values = [x for k in range(m.cols) for x in m.col(k)]
+        return values + [Q0] * (space.total_dim - len(values))
 
     def nabla(self, n):
         """The total differential C^n_tot -> C^{n+1}_tot as one sparse

@@ -208,9 +208,7 @@ def structure_report(x):
                 well_defined = False
                 sol = [Q0] * len(kernel_basis)
             cols.append(sol)
-        induced.append(Matrix(len(kernel_basis), len(kernel_basis),
-                              [[cols[j][i] for j in range(len(cols))]
-                               for i in range(len(kernel_basis))]))
+        induced.append(vectors_matrix(cols, dim=len(kernel_basis)))
     # descent: L_{mu(v)} vanishes on ker mu
     descends = all(
         all(c == 0 for c in x.action.act(mu_col).apply(v))

@@ -2,7 +2,7 @@
 and the Chevalley-Eilenberg differential with coefficients."""
 
 from .numeric import (Matrix, Q0, Q1, rat, increasing_tuples,
-                      linear_combination)
+                      linear_combination, vectors_matrix)
 
 
 class LieAlgebra:
@@ -97,10 +97,8 @@ class LieAlgebra:
 
     def ad(self, u):
         """Matrix of ad_u = [u, -]."""
-        cols = [self.bracket(u, _unit(self.dim, j)) for j in range(self.dim)]
-        return Matrix(self.dim, self.dim,
-                      [[cols[j][i] for j in range(self.dim)]
-                       for i in range(self.dim)])
+        return vectors_matrix([self.bracket(u, _unit(self.dim, j))
+                               for j in range(self.dim)], dim=self.dim)
 
     def change_basis(self, t):
         """Structure constants in the new basis given by the columns of t."""
@@ -129,8 +127,7 @@ def _invert(m):
         x = solve_linear(m, _unit(m.rows, j))
         assert x is not None, "matrix not invertible"
         cols.append(x)
-    return Matrix(m.rows, m.rows,
-                  [[cols[j][i] for j in range(m.rows)] for i in range(m.rows)])
+    return vectors_matrix(cols, dim=m.rows)
 
 
 def validate_lie_algebra(g):

@@ -2,8 +2,10 @@
 associated honest representation, and the twisted semidirect product that
 builds every extension of a Lie 2-algebra by a 2-vector space."""
 
-from .numeric import Matrix, Q0, increasing_tuples, linear_combination
-from .liealg import LieAlgebra, Representation, _unit
+from .numeric import (Matrix, Q0, increasing_tuples, linear_combination,
+                      vectors_matrix)
+from .liealg import (LieAlgebra, Representation, _unit, apply_into,
+                     sparse_columns, validate_representation)
 from .lie2 import (CrossedModuleAlg, TwoVectorSpace, validate_crossed_module,
                    lie2_arrows)
 
@@ -42,39 +44,66 @@ class TwoRep:
 
 
 def validate_two_rep(r):
-    """Per-axiom violation list with basis witnesses; empty means valid."""
+    """Per-axiom violation list with basis witnesses; empty means valid.
+
+    Each identity is checked column by column on sparse columns, as
+    {row: value} dicts."""
     bad = []
-    x, t = r.source, r.target
-    phi = t.phi
-    from .liealg import validate_representation
+    x = r.source
+    dg, dw, dv = x.g.dim, r.target.dim_w, r.target.dim_v
     for (i, j) in validate_representation(r.rho0_w):
         bad.append(("rho0_w_homomorphism", (i, j)))
     for (i, j) in validate_representation(r.rho0_v):
         bad.append(("rho0_v_homomorphism", (i, j)))
+    phi = sparse_columns(r.target.phi)
+    rw = [sparse_columns(m) for m in r.rho0_w.mats]
+    rv = [sparse_columns(m) for m in r.rho0_v.mats]
+    r1 = [sparse_columns(m) for m in r.rho1]
+    mu = sparse_columns(x.mu)
+    # the columns of phi rho1(e_a): V -> V
+    phi_r1 = [[list(apply_into({}, phi, col).items()) for col in cols]
+              for cols in r1]
+
+    def check(name, witness, width, column):
+        # the identity holds when each of its width columns is zero
+        if any(any(column(c).values()) for c in range(width)):
+            bad.append((name, witness))
+
     for b in range(x.h.dim):
-        if not (phi * r.rho0_w.mats[b] - r.rho0_v.mats[b] * phi).is_zero():
-            bad.append(("object_compatibility", (b,)))
-    for a in range(x.g.dim):
-        mu_a = x.mu.apply(_unit(x.g.dim, a))
-        if not (r.rho0_v.act(mu_a) - phi * r.rho1[a]).is_zero():
-            bad.append(("delta_rho1_V", (a,)))
-        if not (r.rho0_w.act(mu_a) - r.rho1[a] * phi).is_zero():
-            bad.append(("delta_rho1_W", (a,)))
-    for a in range(x.g.dim):
-        for b in range(a + 1, x.g.dim):
-            lhs = r.rho1_of(x.g.basis_bracket(a, b))
-            rhs = (r.rho1[a] * phi * r.rho1[b]
-                   - r.rho1[b] * phi * r.rho1[a])
-            if not (lhs - rhs).is_zero():
-                bad.append(("rho1_homomorphism", (a, b)))
+        # phi rho0^1(e_b) - rho0^0(e_b) phi
+        check("object_compatibility", (b,), dw, lambda c: apply_into(
+            apply_into({}, phi, rw[b][c]), rv[b], phi[c], -1))
+    for a in range(dg):
+        # rho0^0(mu e_a) - phi rho1(e_a) and rho0^1(mu e_a) - rho1(e_a) phi
+        check("delta_rho1_V", (a,), dv, lambda c: apply_into(
+            _combination_column(rv, mu[a], c), phi, r1[a][c], -1))
+        check("delta_rho1_W", (a,), dw, lambda c: apply_into(
+            _combination_column(rw, mu[a], c), r1[a], phi[c], -1))
+    for a in range(dg):
+        for b in range(a + 1, dg):
+            # rho1([e_a, e_b]) - rho1(e_a) phi rho1(e_b)
+            # + rho1(e_b) phi rho1(e_a)
+            br = x.g._sparse.get((a, b), ())
+            check("rho1_homomorphism", (a, b), dv, lambda c: apply_into(
+                apply_into(_combination_column(r1, br, c), r1[a],
+                           phi_r1[b][c], -1), r1[b], phi_r1[a][c]))
     for b in range(x.h.dim):
-        for a in range(x.g.dim):
-            lhs = r.rho1_of(x.action.mats[b].apply(_unit(x.g.dim, a)))
-            rhs = (r.rho0_w.mats[b] * r.rho1[a]
-                   - r.rho1[a] * r.rho0_v.mats[b])
-            if not (lhs - rhs).is_zero():
-                bad.append(("action_compatibility", (b, a)))
+        act = sparse_columns(x.action.mats[b])
+        for a in range(dg):
+            # rho1(L_b e_a) - rho0^1(e_b) rho1(e_a) + rho1(e_a) rho0^0(e_b)
+            check("action_compatibility", (b, a), dv, lambda c: apply_into(
+                apply_into(_combination_column(r1, act[a], c), rw[b],
+                           r1[a][c], -1), r1[a], rv[b][c]))
     return bad
+
+
+def _combination_column(cols, coeffs, c):
+    """Column c of sum_k y_k M_k, for the M_k as sparse columns and the
+    nonzero (k, y_k) of coeffs."""
+    acc = {}
+    for k, y in coeffs:
+        apply_into(acc, cols[k], [(c, y)])
+    return acc
 
 
 def adjoint_rep(x):
@@ -89,8 +118,7 @@ def adjoint_rep(x):
     for a in range(dg):
         ea = _unit(dg, a)
         cols = [[-c for c in x.action.mats[b].apply(ea)] for b in range(dh)]
-        rho1.append(Matrix(dg, dh, [[cols[j][i] for j in range(dh)]
-                                    for i in range(dg)]))
+        rho1.append(vectors_matrix(cols, dim=dg))
     rho0_w = Representation(x.h, dg, [x.action.mats[b] for b in range(dh)])
     rho0_v = Representation(x.h, dh, [x.h.ad(_unit(dh, b)) for b in range(dh)])
     return TwoRep(x, target, rho1, rho0_w, rho0_v)

@@ -411,6 +411,37 @@ def test_non_integer_options_exit_two(tmp_path, capsys):
         assert "CHECK" not in out
 
 
+def test_nabla_check_negative_settings_exit_two(tmp_path, capsys):
+    """A negative --max-degree or --trials, given as a flag or in the
+    options section, is an input error."""
+    for flag, key in (("--max-degree", "max_degree"), ("--trials", "trials")):
+        code, out, err = run(capsys, ["nabla-check", ADJOINT, flag, "-1"])
+        assert code == 2, flag
+        assert "must be nonnegative" in err and "-1" in err
+        assert "CHECK" not in out
+        raw = load_json(ADJOINT)
+        raw["options"] = {key: -3}
+        code, out, err = run(capsys, ["nabla-check", _write(tmp_path, raw)])
+        assert code == 2, key
+        assert "must be nonnegative" in err and "-3" in err
+        assert "CHECK" not in out
+
+
+def test_nabla_check_oversized_random_trial_exit_two(tmp_path, monkeypatch,
+                                                     capsys):
+    """A random trial whose nabla is above the cell limit is refused as an
+    input error, not a traceback."""
+    import lie2coh.lattice as lattice_mod
+    monkeypatch.setattr(lattice_mod, "MAX_NABLA_CELLS", 1)
+    raw = load_json(CENTRAL)
+    raw.pop("two_rep")
+    code, out, err = run(capsys, ["nabla-check", _write(tmp_path, raw),
+                                  "--trials", "1", "--seed", "0"])
+    assert code == 2
+    assert "refusing to build nabla_" in err
+    assert "CHECK" not in out
+
+
 def test_non_integer_env_seed_exit_two(capsys, monkeypatch):
     monkeypatch.setenv("LIE2COH_SEED", "abc")
     code, out, err = run(capsys, ["group-checks", "glphi", "--trials", "2"])

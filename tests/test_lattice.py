@@ -3,6 +3,8 @@ total differential, cohomology, and low-degree interpretations."""
 
 import hashlib
 import os
+import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -741,3 +743,68 @@ def test_nabla_pinned_by_hash(name):
     got = tuple(hashlib.sha256(repr(ctx.nabla(n)).encode()).hexdigest()
                 for n in range(4))
     assert got == NABLA_SHA256[name]
+
+
+def _layout_contexts():
+    """30 seeded contexts, each with a seeded source of random vectors."""
+    for seed in range(30):
+        x, rep = random_context(rng_from_seed(seed), 2)
+        draw = random.Random(seed)
+        yield LatticeContext(x, rep), lambda size, draw=draw: [
+            Fraction(draw.randint(-3, 3), draw.randint(1, 2))
+            for _ in range(size)]
+
+
+def test_split_and_join_are_inverse():
+    """split lists the blocks of C^n_tot in order, join puts them back,
+    skips empty parts of zero-dimensional blocks and refuses values for a
+    block outside the degree or of the wrong length."""
+    for ctx, vector in _layout_contexts():
+        for n in range(4):
+            assert ctx.block_offsets(n) is ctx.block_offsets(n)
+            vec = vector(ctx.total_dim(n))
+            parts = ctx.split(n, vec)
+            assert list(parts) == ctx.degree_blocks(n)
+            assert [len(v) for v in parts.values()] == \
+                [ctx.cochain_dim(*b) for b in parts]
+            assert [x for v in parts.values() for x in v] == vec
+            assert ctx.join(n, parts) == vec
+            for b, values in parts.items():
+                alone = ctx.split(n, ctx.join(n, {b: values}))
+                assert alone == {c: values if c == b else [Q0] * len(v)
+                                 for c, v in parts.items()}
+                with pytest.raises(ValueError):
+                    ctx.join(n, {b: values + [Q1]})
+            # the empty blocks of degree n and blocks of degree n + 1
+            others = [(p, q, n - p - q) for p in range(n + 1)
+                      for q in range(n - p + 1)] + [(n + 1, 0, 0), (0, n, 1)]
+            for b in others:
+                if b not in parts:
+                    assert ctx.join(n, {b: []}) == [Q0] * len(vec)
+                    with pytest.raises(ValueError):
+                        ctx.join(n, {b: [Q1]})
+
+
+def test_block_matrix_reads_the_space_positions():
+    """Column k of block_matrix is the value at the k-th basis tuple pair,
+    at the positions Space.block gives; block_values writes it back, with
+    zeros past the columns it is given."""
+    for ctx, vector in _layout_contexts():
+        for block in ((0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1)):
+            space = ctx.space(*block)
+            pairs = [(I, J) for I in space.gp_tuples for J in space.g_tuples]
+            values = vector(space.total_dim)
+            m = ctx.block_matrix(block, values)
+            assert (m.rows, m.cols) == (space.coeff_dim, len(pairs))
+            for k, (I, J) in enumerate(pairs):
+                for i in range(m.rows):
+                    assert m.data[i][k] == values[space.block(I, J) + i]
+            assert ctx.block_values(block, m) == values
+            cols = len(pairs) // 2
+            head = ctx.block_matrix(block, values, cols)
+            assert head.data == [row[:cols] for row in m.data]
+            back = ctx.block_values(block, head)
+            for k, (I, J) in enumerate(pairs):
+                for i in range(m.rows):
+                    pos = space.block(I, J) + i
+                    assert back[pos] == (values[pos] if k < cols else 0)

@@ -148,3 +148,89 @@ def test_semidirect_dims_and_projection():
                 base = x.action.act(_unit(sd.h.dim, b)[:dh]).apply(
                     _unit(sd.g.dim, i)[:dg])
                 assert moved[:dg] == base
+
+
+def dense_validate_two_rep(r):
+    """Test-only oracle: the validator as dense Matrix products and
+    differences, compared entry by entry with validate_two_rep."""
+    bad = []
+    x, t = r.source, r.target
+    phi = t.phi
+    for (i, j) in validate_representation(r.rho0_w):
+        bad.append(("rho0_w_homomorphism", (i, j)))
+    for (i, j) in validate_representation(r.rho0_v):
+        bad.append(("rho0_v_homomorphism", (i, j)))
+    for b in range(x.h.dim):
+        if not (phi * r.rho0_w.mats[b] - r.rho0_v.mats[b] * phi).is_zero():
+            bad.append(("object_compatibility", (b,)))
+    for a in range(x.g.dim):
+        mu_a = x.mu.apply(_unit(x.g.dim, a))
+        if not (r.rho0_v.act(mu_a) - phi * r.rho1[a]).is_zero():
+            bad.append(("delta_rho1_V", (a,)))
+        if not (r.rho0_w.act(mu_a) - r.rho1[a] * phi).is_zero():
+            bad.append(("delta_rho1_W", (a,)))
+    for a in range(x.g.dim):
+        for b in range(a + 1, x.g.dim):
+            lhs = r.rho1_of(x.g.basis_bracket(a, b))
+            rhs = (r.rho1[a] * phi * r.rho1[b]
+                   - r.rho1[b] * phi * r.rho1[a])
+            if not (lhs - rhs).is_zero():
+                bad.append(("rho1_homomorphism", (a, b)))
+    for b in range(x.h.dim):
+        for a in range(x.g.dim):
+            lhs = r.rho1_of(x.action.mats[b].apply(_unit(x.g.dim, a)))
+            rhs = (r.rho0_w.mats[b] * r.rho1[a]
+                   - r.rho1[a] * r.rho0_v.mats[b])
+            if not (lhs - rhs).is_zero():
+                bad.append(("action_compatibility", (b, a)))
+    return bad
+
+
+def broken_variants(r):
+    """r with each of rho1, rho0^W, rho0^V and phi doubled, and with the
+    first matrix of each shifted by a unit entry."""
+    x, t = r.source, r.target
+    dw, dv = t.dim_w, t.dim_v
+
+    def doubled(mats):
+        return [m.scale(2) for m in mats]
+
+    def shifted(mats):
+        mats = list(mats)
+        if mats and mats[0].rows and mats[0].cols:
+            m = Matrix(mats[0].rows, mats[0].cols, mats[0].data)
+            m.data[-1][0] += 1
+            mats[0] = m
+        return mats
+
+    out = []
+    for change in (doubled, shifted):
+        out.append(TwoRep(x, t, change(r.rho1), r.rho0_w, r.rho0_v))
+        out.append(TwoRep(x, t, r.rho1,
+                          Representation(x.h, dw, change(r.rho0_w.mats)),
+                          r.rho0_v))
+        out.append(TwoRep(x, t, r.rho1, r.rho0_w,
+                          Representation(x.h, dv, change(r.rho0_v.mats))))
+        out.append(TwoRep(x, TwoVectorSpace(dw, dv, change([t.phi])[0]),
+                          r.rho1, r.rho0_w, r.rho0_v))
+    return out
+
+
+def test_validate_two_rep_matches_dense_oracle():
+    """The sparse validator reports the oracle's violations, with the same
+    names, witnesses and order, on adjoint and random 2-representations
+    and on broken variants of them."""
+    rng = rng_from_seed(21)
+    names = set()
+    reps = [adjoint_rep(random_crossed_module(rng, 3)) for _ in range(40)]
+    reps += [random_context(rng, 2)[1] for _ in range(40)]
+    for r in reps:
+        assert validate_two_rep(r) == dense_validate_two_rep(r) == []
+        for broken in broken_variants(r):
+            want = dense_validate_two_rep(broken)
+            assert validate_two_rep(broken) == want
+            names.update(name for name, _ in want)
+    # every identity the validator checks is broken somewhere above
+    assert names == {"rho0_w_homomorphism", "rho0_v_homomorphism",
+                     "object_compatibility", "delta_rho1_V", "delta_rho1_W",
+                     "rho1_homomorphism", "action_compatibility"}
