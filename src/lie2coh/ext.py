@@ -51,10 +51,12 @@ class TwoCocycle:
     def omega1_values(self):
         """The derived omega1 on increasing pairs, as a (0,0,2) cochain."""
         ctx = self.ctx
-        vals = []
-        for (a, b) in increasing_tuples(ctx.dg, 2):
-            vals.extend(self.derived_omega1(_unit(ctx.dg, a),
-                                            _unit(ctx.dg, b)))
+        space = ctx.space(0, 0, 2)
+        vals = [Q0] * space.total_dim
+        for a, b in space.g_tuples:
+            start = space.block((), (a, b))
+            vals[start:start + space.coeff_dim] = self.derived_omega1(
+                _unit(ctx.dg, a), _unit(ctx.dg, b))
         return vals
 
     def total_vector(self):

@@ -27,15 +27,33 @@ on the difference maps are calibrated so that nabla^2 = 0 holds as an
 exact matrix identity (the guarded invariant); ``_delta_sign`` below
 gives them, and a regression test freezes its values.
 
-Assembly and storage are sparse.  Each component is accumulated as
-{column: value} rows: every term of a target basis pair expands its
-sparse arguments onto source basis pairs and adds its coefficient map,
-turned into sparse rows once per matrix, at the matching offsets.  The
-faces of g_p enter as sparse columns, cached per (p, k) on the context,
-and the nerve brackets come from the structure constants
-(``nerve_algebra``).  Components and each nabla_n are ``SparseMatrix``
-rows of their nonzeros: ``nabla`` copies each component's rows to its
-block offsets, ``nabla_squared_blocks`` multiplies the sparse rows, and
+Assembly is factored and storage is sparse.  Each component is a short
+signed sum sum_t G_t (x) H_t (x) K_t of a map G_t on the Lambda^q g_p*
+factor, a map H_t on the Lambda^r g* factor and a coefficient map K_t (or
+the identity), each kept as a table of its nonzero rows:
+
+* delta_r   = sum_e Ins_e (x) 1 (x) rho0(t e) - sum_e Ins_e (x) Der(L_{t e})
+              (x) 1 + CE(g_p) (x) 1 (x) 1, over the basis e of g_p, with
+              Ins_e : I -> +-(I without e) and the e of zero maps skipped;
+* delta_one = 1 (x) sum_j Ins_j (x) rho0^1(mu e_j) + 1 (x) CE(g) (x) 1,
+              with rho1(e_j) in place of rho0^1(mu e_j) at r = 0;
+* partial   = sum_k (-1)^k Lambda^q(face_k) (x) 1 (x) 1;
+* delta_k   = sum_T G_T (x) Ins_T (x) (phi if r = k), over the k-tuples T of
+              x^0 indices, with G_T : I -> +-Lambda^q(face_0)(I without T)
+              and Ins_T : J -> +-sort(T ++ J).
+
+``_assemble`` writes such a sum into {column: value} rows.  Every table is
+built once per context, in one factor cache, and shared by each (p, q, r)
+that uses it: the Lambda^q g_p* tables per (p, q) (the G_T per (p, q, k)),
+the Lambda^r g* tables per r and each coefficient map once.  The nerve
+brackets (``nerve_algebra``, from the structure constants) and the faces
+the tables are built from are cached there too.  As t e is mu e_a or e_b,
+rho0(t e) and Der(L_{t e}) are built for the mu e_a and the e_b only, and
+shared by every p.
+
+Components and each nabla_n are ``SparseMatrix`` rows of their nonzeros:
+``nabla`` copies each component's rows to its block offsets,
+``nabla_squared_blocks`` multiplies the sparse rows, and
 ``total_cohomology`` eliminates them, so no dense nabla is built on the
 way to H^n.  Their ``data`` is a dense view, built only when read.
 
@@ -47,15 +65,15 @@ the constants, consists of cocycles of the whole lattice, so for n >= 1
 the restriction and the full unit lattice have the same H^n.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations
 
-from .numeric import (Matrix, SparseMatrix, Q0, rank, rank_and_kernel,
-                      vectors_matrix, increasing_tuples, _demote, _echelon,
-                      _nonzero, _row_copies, _sparse_rows)
+from .numeric import (Matrix, SparseMatrix, Space, Q0, rank, rank_and_kernel,
+                      increasing_tuples, _add_multiple, _demote, _echelon,
+                      _nonzero, _row_copies)
 from .liealg import _unit, _sort_sign, sparse_columns
-from .lie2 import (TwoVectorSpace, nerve_algebra, face_matrix,
+from .lie2 import (TwoVectorSpace, nerve_algebra, face_columns, face_matrix,
                    final_target_matrix, validate_crossed_module)
 from .tworep import TwoRep, validate_two_rep, bar_rho
 
@@ -72,27 +90,6 @@ def _delta_sign(k, q, r):
 # list slots before any entry object.  The benchmark builds at most 0.9M
 # cells; the tests build a 13.6M-cell nabla_3 and never view it dense.
 MAX_NABLA_CELLS = 20_000_000
-
-
-class Space:
-    """Basis bookkeeping for C^{p,q}_r."""
-
-    def __init__(self, p, q, r, gp_dim, g_dim, coeff_dim):
-        self.p, self.q, self.r = p, q, r
-        self.gp_tuples = increasing_tuples(gp_dim, q)
-        self.g_tuples = increasing_tuples(g_dim, r)
-        self.coeff_dim = coeff_dim
-        self._gp_pos = {t: i for i, t in enumerate(self.gp_tuples)}
-        self._g_pos = {t: i for i, t in enumerate(self.g_tuples)}
-        self.total_dim = len(self.gp_tuples) * len(self.g_tuples) * coeff_dim
-
-    def block(self, gp_tuple, g_tuple):
-        """Start offset of the coefficient block of a basis tuple pair."""
-        i = self._gp_pos.get(gp_tuple)
-        j = self._g_pos.get(g_tuple)
-        if i is None or j is None:
-            return None
-        return (i * len(self.g_tuples) + j) * self.coeff_dim
 
 
 def _expand(args):
@@ -125,6 +122,81 @@ def _usp(i):
     return [(i, 1)]
 
 
+def _row(terms, pos):
+    """The nonzero (column, value) pairs of sum_t c e_pos[t] over the
+    (c, t) of terms."""
+    acc = {}
+    for c, t in terms:
+        j = pos[t]
+        acc[j] = acc.get(j, 0) + c
+    return list(_nonzero(acc).items())
+
+
+# A factor table is a linear map as its nonzero rows, [(row, [(column,
+# value), ...]), ...]; on tuples, row i is the image of the i-th target
+# tuple on the positions of the source tuples.
+
+def _table(m):
+    """The table of a matrix, None if it is zero."""
+    table = [(a, [(b, _demote(x)) for b, x in enumerate(row) if x])
+             for a, row in enumerate(m.data)]
+    return [(a, pairs) for a, pairs in table if pairs] or None
+
+
+def _tuple_table(images, pos):
+    """The table whose row i is images[i], given as (coefficient,
+    increasing tuple) terms, on the positions pos."""
+    table = []
+    for i, terms in enumerate(images):
+        entries = _row(terms, pos)
+        if entries:
+            table.append((i, entries))
+    return table
+
+
+def _insertions(tuples, pos):
+    """{e: Ins_e}, Ins_e sending each tuple I that holds e to I without e,
+    with sign (-1)^(the position of e in I)."""
+    tables = {}
+    for i, I in enumerate(tuples):
+        for at, e in enumerate(I):
+            tables.setdefault(e, []).append(
+                (i, [(pos[I[:at] + I[at + 1:]], -1 if at % 2 else 1)]))
+    return tables
+
+
+def _ce_table(tuples, pos, brackets):
+    """The Chevalley-Eilenberg part I -> sum_{m<n} (-1)^(m+n) [I_m, I_n]
+    ^ (I without I_m, I_n), for the brackets {(a, b): sparse vector},
+    a < b, of the basis."""
+    def image(I):
+        for m, n in combinations(range(len(I)), 2):
+            br = brackets.get((I[m], I[n]))
+            if br:
+                sign = -1 if (m + n) % 2 else 1
+                rest = [_usp(i) for i in I[:m] + I[m + 1:n] + I[n + 1:]]
+                for c, t in _expand([br] + rest):
+                    yield sign * c, t
+    return _tuple_table(map(image, tuples), pos)
+
+
+def _derivation(tuples, pos, cols):
+    """Der(A): J -> sum_k (J with J_k replaced by A e_{J_k}), for A given
+    as sparse columns; None if A = 0."""
+    if not any(cols):
+        return None
+
+    def image(J):
+        for k in range(len(J)):
+            yield from _expand([cols[a] if t == k else _usp(a)
+                                for t, a in enumerate(J)])
+    return _tuple_table(map(image, tuples), pos)
+
+
+# (p, q, r) shift of the target of each component but DeltaK's
+_SHIFTS = {"deltaR": (0, 1, 0), "delta1": (0, 0, 1), "partial": (1, 0, 0)}
+
+
 class LatticeContext:
     """All lattice computations for a fixed (crossed module, 2-rep) pair."""
 
@@ -147,16 +219,11 @@ class LatticeContext:
         self.dw = rep.target.dim_w
         self.dv = rep.target.dim_v
         self.phi = rep.target.phi
-        self._nerves = {}
-        self._face_cols = {}
-        self._targets = {}
+        self._factors = {}
         self._spaces = {}
         self._layouts = {}
         self._mats = {}
         self._nablas = {}
-        # rho0^1(mu(e_j)) per g-basis vector as sparse rows, for delta_one
-        self._rho01_mu = [_sparse_rows(rep.rho0_w.act(x.mu.col(j)).data)
-                          for j in range(self.dg)]
         if check_degree is not None:
             for n in range(check_degree + 1):
                 bad = self.nabla_squared_blocks(n)
@@ -166,28 +233,26 @@ class LatticeContext:
 
     # -- structural caches -------------------------------------------------
 
+    def _factor(self, key, build):
+        """The factor under key, built once per context and shared by
+        every component that uses it."""
+        if key not in self._factors:
+            self._factors[key] = build()
+        return self._factors[key]
+
     def gp_dim(self, p):
         return p * self.dg + self.dh
 
     def nerve(self, p):
-        if p not in self._nerves:
-            self._nerves[p] = nerve_algebra(self.x, p).underlying
-        return self._nerves[p]
+        return self._factor(("nerve", p),
+                            lambda: nerve_algebra(self.x, p).underlying)
 
     def face(self, p, k):
         return face_matrix(self.x, p, k)
 
-    def face_columns(self, p, k):
-        """The k-th face g_{p+1} -> g_p as sparse columns."""
-        key = (p, k)
-        if key not in self._face_cols:
-            self._face_cols[key] = sparse_columns(self.face(p, k))
-        return self._face_cols[key]
-
     def target(self, p):
-        if p not in self._targets:
-            self._targets[p] = final_target_matrix(self.x, p)
-        return self._targets[p]
+        return self._factor(("target", p),
+                            lambda: final_target_matrix(self.x, p))
 
     def space(self, p, q, r):
         key = (p, q, r)
@@ -205,165 +270,191 @@ class LatticeContext:
         """Matrix of one component map out of C^{p,q}_r.
 
         kind in {"deltaR", "delta1", "partial", "DeltaK"}; for DeltaK the
-        difference order k with 1 <= k <= r is required.
+        difference order k with 1 <= k <= r is required, the other kinds
+        take none.  ValueError on a negative index.
         """
         key = (kind, p, q, r, k)
         if key in self._mats:
             return self._mats[key]
-        if kind == "deltaR":
-            mat = self._build_delta_r(p, q, r)
-        elif kind == "delta1":
-            mat = self._build_delta_one(p, q, r)
-        elif kind == "partial":
-            mat = self._build_partial(p, q, r)
-        elif kind == "DeltaK":
+        terms_of = {"deltaR": self._delta_r_terms,
+                    "delta1": self._delta_one_terms,
+                    "partial": self._partial_terms,
+                    "DeltaK": self._delta_k_terms}
+        if kind not in terms_of:
+            raise ValueError("unknown component kind %r" % (kind,))
+        if min(p, q, r) < 0:
+            raise ValueError("negative lattice index (%d, %d, %d)"
+                             % (p, q, r))
+        if kind == "DeltaK":
             if k is None or not 1 <= k <= r:
                 raise ValueError("difference order out of range: k=%r, r=%d"
                                  % (k, r))
-            mat = self._build_delta_k(p, q, r, k)
+            shift = (1, k, -k)
+        elif k is not None:
+            raise ValueError("%s takes no difference order, got k=%r"
+                             % (kind, k))
         else:
-            raise ValueError("unknown component kind %r" % (kind,))
-        self._mats[key] = mat
-        return mat
+            shift = _SHIFTS[kind]
+        src = self.space(p, q, r)
+        tgt = self.space(p + shift[0], q + shift[1], r + shift[2])
+        terms = terms_of[kind](src, tgt, k) \
+            if src.total_dim and tgt.total_dim else []
+        self._mats[key] = self._assemble(src, tgt, terms)
+        return self._mats[key]
 
-    def _assemble(self, src, tgt, term_gen):
-        """A component, accumulated as {column: value} rows.
+    @staticmethod
+    def _assemble(src, tgt, terms):
+        """The component sum_t sign_t G_t (x) H_t (x) K_t as {column: value}
+        rows.
 
-        term_gen(I, J) yields the terms of the target basis pair (I, J):
-        (sign, coefficient rows, gp_args, g_args), the coefficient map as
-        sparse rows (None for the identity) and the arguments as sparse
-        vectors, expanded alternatingly onto source basis pairs."""
+        Each term is (sign, G, H, K): G on the g_p tuples, H on the g
+        tuples, K on the coefficients (None for the identity), each as a
+        table of its nonzero rows (see _table)."""
         rows = [{} for _ in range(tgt.total_dim)]
-        dc = src.coeff_dim
-        gp_pos, g_pos = src._gp_pos, src._g_pos
-        stride = len(src.g_tuples) * dc
-        for I in tgt.gp_tuples:
-            for J in tgt.g_tuples:
-                row0 = tgt.block(I, J)
-                for sign, coeff, gp_args, g_args in term_gen(I, J):
-                    # (sign * coefficient, offset) of each source g-tuple
-                    g_terms = [(sign * c2, g_pos[J_in] * dc)
-                               for c2, J_in in _expand(g_args)
-                               if J_in in g_pos]
-                    for c1, I_in in _expand(gp_args):
-                        i = gp_pos.get(I_in)
-                        if i is None:
-                            continue
-                        for c2, offset in g_terms:
-                            col0 = i * stride + offset
+        dt, ds = tgt.coeff_dim, src.coeff_dim
+        nt, ns = len(tgt.g_tuples), len(src.g_tuples)
+        for sign, gp_table, g_table, coeff in terms:
+            # per target g tuple: (source column offset, signed value)
+            g_side = [(j, [(j_in * ds, sign * c) for j_in, c in entries])
+                      for j, entries in g_table]
+            for i, entries in gp_table:
+                gp_side = [(i_in * ns * ds, c) for i_in, c in entries]
+                for j, g_entries in g_side:
+                    row0 = (i * nt + j) * dt
+                    for off1, c1 in gp_side:
+                        for off2, c2 in g_entries:
+                            col0 = off1 + off2
                             val = c1 * c2
                             if coeff is None:
-                                for a in range(dc):
+                                for a in range(dt):
                                     row = rows[row0 + a]
                                     b = col0 + a
                                     row[b] = row.get(b, 0) + val
-                                continue
-                            for a, entries in enumerate(coeff, row0):
-                                row = rows[a]
-                                for b, x in entries.items():
-                                    b += col0
-                                    row[b] = row.get(b, 0) + val * x
+                            else:
+                                for a, pairs in coeff:
+                                    row = rows[row0 + a]
+                                    for b, x in pairs:
+                                        b += col0
+                                        row[b] = row.get(b, 0) + val * x
         return SparseMatrix(tgt.total_dim, src.total_dim,
-                            [_nonzero(row) for row in rows])
+                            [_nonzero(row) if row else row for row in rows])
 
-    def _build_delta_r(self, p, q, r):
-        src = self.space(p, q, r)
-        tgt = self.space(p, q + 1, r)
-        nerve = self.nerve(p)
-        # the actions of y = t_p(e_i) on the coefficients and on g, once
-        # per basis index i of g_p
-        ys = self.target(p).columns()
-        rho0 = self.rep.rho0_w if r else self.rep.rho0_v
-        coeff = [_sparse_rows(rho0.act(y).data) for y in ys]
-        moved_by = [sparse_columns(self.x.action.act(y))
-                    for y in ys] if r else None
-        brackets = nerve._sparse
+    def _identity(self, n):
+        return self._factor(("identity", n),
+                            lambda: [(i, [(i, 1)]) for i in range(n)])
 
-        def terms(I, J):
-            units_J = [_usp(j) for j in J]
-            for jpos in range(q + 1):
-                rest = [_usp(i) for t, i in enumerate(I) if t != jpos]
-                sign = -1 if jpos % 2 else 1
-                yield (sign, coeff[I[jpos]], rest, units_J)
-                for kpos in range(r):
-                    moved = [moved_by[I[jpos]][J[t]] if t == kpos
-                             else _usp(J[t]) for t in range(r)]
-                    yield (-sign, None, rest, moved)
-            for m in range(q + 1):
-                for n in range(m + 1, q + 1):
-                    br = brackets.get((I[m], I[n]))
-                    if br is None:
-                        continue
-                    rest = [_usp(i) for t, i in enumerate(I)
-                            if t not in (m, n)]
-                    sign = -1 if (m + n) % 2 else 1
-                    yield (sign, None, [br] + rest, units_J)
+    def _on_targets(self, key, rep, table):
+        """(table(rep(mu e_a)) per basis vector e_a of g, table(rep(e_b))
+        per e_b of h), built once per key.  The final target t of g_p
+        sends e_a in each of the p g-slots to mu e_a and e_b to e_b."""
+        tables = self._factor(key, lambda: [
+            table(m) for m in [rep.act(self.x.mu.col(a))
+                               for a in range(self.dg)] + rep.mats])
+        return tables[:self.dg], tables[self.dg:]
 
-        return self._assemble(src, tgt, terms)
+    def _delta_r_terms(self, src, tgt, k):
+        """Sum_e Ins_e (x) 1 (x) rho0(t e) - sum_e Ins_e (x) Der(L_{t e})
+        (x) 1 + CE(g_p) (x) 1 (x) 1, over the basis e of g_p."""
+        p, q, r = src.p, src.q, src.r
+        ins = self._factor(("gp_ins", p, q),
+                           lambda: _insertions(tgt.gp_tuples, src.gp_pos))
+        ident = self._identity(len(src.g_tuples))
+        g_part, h_part = self._on_targets(
+            ("rho0", bool(r)), self.rep.rho0_w if r else self.rep.rho0_v,
+            _table)
+        coeff = g_part * p + h_part
+        terms = [(1, ins[e], ident, coeff[e]) for e in ins if coeff[e]]
+        if r:
+            g_part, h_part = self._on_targets(
+                ("der", r), self.x.action, lambda m: _derivation(
+                    src.g_tuples, src.g_pos, sparse_columns(m)))
+            der = g_part * p + h_part
+            terms += [(-1, ins[e], der[e], None) for e in ins if der[e]]
+        ce = self._factor(("gp_ce", p, q), lambda: _ce_table(
+            tgt.gp_tuples, src.gp_pos, self.nerve(p)._sparse))
+        if ce:
+            terms.append((1, ce, ident, None))
+        return terms
 
-    def _build_delta_one(self, p, q, r):
-        src = self.space(p, q, r)
-        tgt = self.space(p, q, r + 1)
-        brackets = {key: [(i, _demote(c)) for i, c in vec]
-                    for key, vec in self.x.g._sparse.items()}
-        rho1 = [_sparse_rows(m.data) for m in self.rep.rho1] if not r else None
+    def _delta_one_terms(self, src, tgt, k):
+        """1 (x) sum_j Ins_j (x) rho0^1(mu e_j) (rho1(e_j) at r = 0)
+        + 1 (x) CE(g) (x) 1, over the basis e_j of g."""
+        r = src.r
+        if r:
+            coeff = self._on_targets(("rho0", True), self.rep.rho0_w,
+                                     _table)[0]
+        else:
+            coeff = self._factor(("rho1",), lambda: [
+                _table(m) for m in self.rep.rho1])
+        ins = self._factor(("g_ins", r),
+                           lambda: _insertions(tgt.g_tuples, src.g_pos))
+        ident = self._identity(len(src.gp_tuples))
+        terms = [(1, ident, ins[j], coeff[j]) for j in ins if coeff[j]]
+        ce = self._factor(("g_ce", r), lambda: _ce_table(
+            tgt.g_tuples, src.g_pos, self.x.g._sparse))
+        if ce:
+            terms.append((1, ident, ce, None))
+        return terms
 
-        def terms(I, J):
-            units_I = [_usp(i) for i in I]
-            if r == 0:
-                # seed: (delta_one w)(Xi; x) = rho1(x) w(Xi)
-                yield (1, rho1[J[0]], units_I, [])
-                return
-            for kpos in range(r + 1):
-                rest = [_usp(j) for t, j in enumerate(J) if t != kpos]
-                sign = -1 if kpos % 2 else 1
-                yield (sign, self._rho01_mu[J[kpos]], units_I, rest)
-            for a in range(r + 1):
-                for b in range(a + 1, r + 1):
-                    br = brackets.get((J[a], J[b]))
-                    if br is None:
-                        continue
-                    rest = [_usp(j) for t, j in enumerate(J)
-                            if t not in (a, b)]
-                    sign = -1 if (a + b) % 2 else 1
-                    yield (sign, None, units_I, [br] + rest)
+    def _partial_terms(self, src, tgt, k):
+        """sum_i (-1)^i Lambda^q(face_i) (x) 1 (x) 1."""
+        p, q = src.p, src.q
 
-        return self._assemble(src, tgt, terms)
+        def build():
+            faces = [self._face_columns(p, i) for i in range(p + 2)]
 
-    def _build_partial(self, p, q, r):
-        src = self.space(p, q, r)
-        tgt = self.space(p + 1, q, r)
-        faces = [self.face_columns(p, k) for k in range(p + 2)]
+            def image(I):
+                for i, face in enumerate(faces):
+                    sign = -1 if i % 2 else 1
+                    for c, t in _expand([face[a] for a in I]):
+                        yield sign * c, t
+            return _tuple_table(map(image, tgt.gp_tuples), src.gp_pos)
 
-        def terms(I, J):
-            units_J = [_usp(j) for j in J]
-            for k, face in enumerate(faces):
-                sign = -1 if k % 2 else 1
-                yield (sign, None, [face[i] for i in I], units_J)
+        table = self._factor(("gp_partial", p, q), build)
+        return [(1, table, self._identity(len(src.g_tuples)), None)] \
+            if table else []
 
-        return self._assemble(src, tgt, terms)
+    def _delta_k_terms(self, src, tgt, k):
+        """sum_T G_T (x) Ins_T (x) (phi if r = k), over the k-tuples T of
+        x^0 indices; G_T sends I to (-1)^(sum S) Lambda^q(face_0)(I without
+        I_S) at the positions S with I_S = T, Ins_T sends J to sort(T ++ J)
+        with its sign."""
+        p, q, r = src.p, src.q, src.r
+        gp = self._factor(("gp_delta", p, q, k),
+                          lambda: self._difference_tables(src, tgt, k))
+        ins = self._factor(("g_shift", r, k), lambda: {
+            T: _tuple_table((_expand([_usp(a) for a in T + J])
+                             for J in tgt.g_tuples), src.g_pos)
+            for T in increasing_tuples(self.dg, k)})
+        coeff = None
+        if r == k:
+            coeff = self._factor(("phi",), lambda: _table(self.phi))
+            if coeff is None:
+                return []
+        return [(1, table, ins[T], coeff) for T, table in gp.items()
+                if ins[T]]
 
-    def _build_delta_k(self, p, q, r, k):
-        src = self.space(p, q, r)
-        tgt = self.space(p + 1, q + k, r - k)
-        face0 = self.face_columns(p, 0)
-        coeff = _sparse_rows(self.phi.data) if r == k else None
+    def _difference_tables(self, src, tgt, k):
+        """{T: G_T} for Delta_k out of the g_p tuples of src."""
+        face0 = self._face_columns(src.p, 0)
         dg = self.dg
-
-        def x0_part(i):
-            # x^0-coordinate block of a g_{p+1} basis vector
-            return _usp(i) if i < dg else []
-
-        def terms(I, J):
-            units_J = [_usp(j) for j in J]
-            for subset in combinations(range(q + k), k):
+        rows = {}
+        for i, I in enumerate(tgt.gp_tuples):
+            # the x^0 indices, below dg, lead I
+            for subset in combinations(range(bisect_left(I, dg)), k):
+                T = tuple(I[t] for t in subset)
                 sign = -1 if sum(subset) % 2 else 1
-                gp_args = [face0[I[t]] for t in range(q + k)
-                           if t not in subset]
-                g_args = [x0_part(I[t]) for t in subset] + units_J
-                yield (sign, coeff, gp_args, g_args)
+                rest = [face0[I[t]] for t in range(len(I))
+                        if t not in subset]
+                entries = _row(((sign * c, t) for c, t in _expand(rest)),
+                               src.gp_pos)
+                if entries:
+                    rows.setdefault(T, []).append((i, entries))
+        return rows
 
-        return self._assemble(src, tgt, terms)
+    def _face_columns(self, p, k):
+        return self._factor(("face", p, k),
+                            lambda: face_columns(self.x, p, k))
 
     # -- total differential and cohomology -----------------------------------
 
@@ -534,86 +625,68 @@ class LatticeContext:
 
     def h1_der_inn(self):
         """(dim Der, dim Inn, dim Out) computed from the honest
-        representation route, independent of the lattice matrices."""
+        representation route, independent of the lattice matrices.  The
+        unknowns are lambda0 then lambda1, row-major; the constraints are
+        sparse {unknown: coefficient} rows."""
         x, rep = self.x, self.rep
         dg, dh, dw, dv = self.dg, self.dh, self.dw, self.dv
-        n_unk = dh * dv + dg * dw  # lambda0 then lambda1, row-major
-        rbar = bar_rho(rep)
-        arrows = rbar.algebra
-        rows = []
+        n_unk = dh * dv + dg * dw
 
-        def l0_entry(row, b, a, c):
-            row[b * dv + a] += c
+        def l0(b, a):
+            return b * dv + a
 
-        def l1_entry(row, b, a, c):
-            row[dh * dv + b * dw + a] += c
+        def l1(j, a):
+            return dh * dv + j * dw + a
 
         # 2-vector-space map: phi lambda1 = lambda0 mu, per g-basis vector
+        phi = self.phi.data
+        rows = []
         for j in range(dg):
             mu_j = x.mu.col(j)
             for a in range(dv):
-                row = [Q0] * n_unk
-                for b in range(dw):
-                    if self.phi.data[a][b] != 0:
-                        l1_entry(row, j, b, self.phi.data[a][b])
-                for b in range(dh):
-                    if mu_j[b] != 0:
-                        l0_entry(row, b, a, -mu_j[b])
+                row = {l1(j, b): c for b, c in enumerate(phi[a]) if c}
+                row.update((l0(b, a), -c) for b, c in enumerate(mu_j) if c)
                 rows.append(row)
 
         # derivation property w.r.t. bar rho on basis pairs of g (+) h
         def lam_bar_rows(vec):
             """Rows extracting (lambda1 x, lambda0 y) of vec in W (+) V."""
             xv, yv = vec[:dg], vec[dg:]
-            out = []
-            for a in range(dw):
-                row = [Q0] * n_unk
-                for j in range(dg):
-                    if xv[j] != 0:
-                        l1_entry(row, j, a, xv[j])
-                out.append(row)
-            for a in range(dv):
-                row = [Q0] * n_unk
-                for b in range(dh):
-                    if yv[b] != 0:
-                        l0_entry(row, b, a, yv[b])
-                out.append(row)
-            return out
+            return ([{l1(j, a): c for j, c in enumerate(xv) if c}
+                     for a in range(dw)]
+                    + [{l0(b, a): c for b, c in enumerate(yv) if c}
+                       for a in range(dv)])
 
+        rbar = bar_rho(rep)
+        arrows = rbar.algebra
         for i in range(arrows.dim):
             for j in range(i + 1, arrows.dim):
-                br = arrows.basis_bracket(i, j)
-                lhs = lam_bar_rows(br)
+                lhs = lam_bar_rows(arrows.basis_bracket(i, j))
                 rhs_i = lam_bar_rows(_unit(arrows.dim, j))
                 rhs_j = lam_bar_rows(_unit(arrows.dim, i))
-                mi = rbar.mats[i]
-                mj = rbar.mats[j]
+                mi = rbar.mats[i].data
+                mj = rbar.mats[j].data
                 for a in range(dw + dv):
-                    row = list(lhs[a])
+                    row = lhs[a]
                     for c in range(dw + dv):
-                        if mi.data[a][c] != 0:
-                            row = [u - mi.data[a][c] * v
-                                   for u, v in zip(row, rhs_i[c])]
-                        if mj.data[a][c] != 0:
-                            row = [u + mj.data[a][c] * v
-                                   for u, v in zip(row, rhs_j[c])]
+                        if mi[a][c]:
+                            _add_multiple(row, -mi[a][c], rhs_i[c])
+                        if mj[a][c]:
+                            _add_multiple(row, mj[a][c], rhs_j[c])
                     rows.append(row)
 
-        m = Matrix(len(rows), n_unk, rows) if rows else Matrix.zero(0, n_unk)
-        dim_der = n_unk - rank(m)
+        rows = [_nonzero(row) for row in rows]
+        dim_der = n_unk - rank(SparseMatrix(len(rows), n_unk, rows))
         # inner: v -> (lambda0, lambda1) = (rho0^0(.) v, rho1(.) v),
-        # intersected with Der (it always lands there)
-        cols = []
+        # intersected with Der (it always lands there); one row per v
+        inner = []
         for c in range(dv):
-            col = [Q0] * n_unk
-            for b in range(dh):
-                for a in range(dv):
-                    col[b * dv + a] = self.rep.rho0_v.mats[b].data[a][c]
-            for j in range(dg):
-                for a in range(dw):
-                    col[dh * dv + j * dw + a] = self.rep.rho1[j].data[a][c]
-            cols.append(col)
-        dim_inn = rank(vectors_matrix(cols, dim=n_unk)) if cols else 0
+            row = {l0(b, a): m.data[a][c]
+                   for b, m in enumerate(rep.rho0_v.mats) for a in range(dv)}
+            row.update((l1(j, a), m.data[a][c])
+                       for j, m in enumerate(rep.rho1) for a in range(dw))
+            inner.append(_nonzero(row))
+        dim_inn = rank(SparseMatrix(dv, n_unk, inner))
         return dim_der, dim_inn, dim_der - dim_inn
 
 

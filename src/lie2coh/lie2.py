@@ -315,27 +315,35 @@ def nerve_algebra(x, p):
     return NerveAlgebra(x, p, LieAlgebra(d, brackets))
 
 
-def face_matrix(x, p, k):
-    """The k-th face g_{p+1} -> g_p, 0 <= k <= p+1, as a matrix."""
+def face_columns(x, p, k):
+    """The k-th face g_{p+1} -> g_p, 0 <= k <= p+1, as sparse columns.
+
+    g-slot s of the source goes to slot s below the face (s < k) and to
+    slot s - 1 from the face on, so slots k - 1 and k meet and the face 0
+    drops slot 0; the h-slot is copied, and the last face sends g-slot p
+    into it by mu."""
     assert 0 <= k <= p + 1
     dg, dh = x.g.dim, x.h.dim
-    m = Matrix.zero(p * dg + dh, (p + 1) * dg + dh)
-    rows = m.data
-    # g-slot j of the target sums source slot j (below the face, j < k)
-    # and source slot j + 1 (from the face on, j >= k - 1)
-    for j in range(p):
-        slots = [j] if j < k else []
-        if j >= k - 1:
-            slots.append(j + 1)
-        for s in slots:
-            for a in range(dg):
-                rows[j * dg + a][s * dg + a] = 1
-    # the h-slot is copied; the last face also adds mu of g-slot p
-    for b in range(dh):
-        row = rows[p * dg + b]
-        row[(p + 1) * dg + b] = 1
-        if k == p + 1:
-            row[p * dg:(p + 1) * dg] = x.mu.data[b]
+    mu = sparse_columns(x.mu) if k == p + 1 else None
+    cols = []
+    for s in range(p + 1):
+        for a in range(dg):
+            if s >= k:
+                cols.append([((s - 1) * dg + a, 1)] if s else [])
+            elif s < p:
+                cols.append([(s * dg + a, 1)])
+            else:
+                cols.append([(p * dg + b, c) for b, c in mu[a]])
+    return cols + [[(p * dg + b, 1)] for b in range(dh)]
+
+
+def face_matrix(x, p, k):
+    """The k-th face g_{p+1} -> g_p, 0 <= k <= p+1, as a matrix."""
+    cols = face_columns(x, p, k)
+    m = Matrix.zero(p * x.g.dim + x.h.dim, len(cols))
+    for c, col in enumerate(cols):
+        for r, v in col:
+            m.data[r][c] = v
     return m
 
 

@@ -540,3 +540,29 @@ def jet_exp(j):
 def increasing_tuples(n, k):
     """All strictly increasing k-tuples drawn from range(n), lex order."""
     return list(combinations(range(n), k))
+
+
+class Space:
+    """Basis bookkeeping for C^{p,q}_r = Lambda^q g_p* (x) Lambda^r g* (x) C,
+    with gp_dim = dim g_p, g_dim = dim g and coeff_dim = dim C.
+
+    A cochain is stored on the pairs (I, J) of strictly increasing tuples,
+    I of length q and J of length r, in lex order with J running fastest;
+    each pair holds a block of coeff_dim values."""
+
+    def __init__(self, p, q, r, gp_dim, g_dim, coeff_dim):
+        self.p, self.q, self.r = p, q, r
+        self.gp_tuples = increasing_tuples(gp_dim, q)
+        self.g_tuples = increasing_tuples(g_dim, r)
+        self.coeff_dim = coeff_dim
+        self.gp_pos = {t: i for i, t in enumerate(self.gp_tuples)}
+        self.g_pos = {t: i for i, t in enumerate(self.g_tuples)}
+        self.total_dim = len(self.gp_tuples) * len(self.g_tuples) * coeff_dim
+
+    def block(self, gp_tuple, g_tuple):
+        """Start offset of the coefficient block of a basis tuple pair."""
+        i = self.gp_pos.get(gp_tuple)
+        j = self.g_pos.get(g_tuple)
+        if i is None or j is None:
+            return None
+        return (i * len(self.g_tuples) + j) * self.coeff_dim

@@ -2,8 +2,7 @@
 associated honest representation, and the twisted semidirect product that
 builds every extension of a Lie 2-algebra by a 2-vector space."""
 
-from .numeric import (Matrix, Q0, increasing_tuples, linear_combination,
-                      vectors_matrix)
+from .numeric import Matrix, Q0, Space, linear_combination, vectors_matrix
 from .liealg import (LieAlgebra, Representation, _unit, apply_into,
                      sparse_columns, validate_representation)
 from .lie2 import (CrossedModuleAlg, TwoVectorSpace, validate_crossed_module,
@@ -160,16 +159,21 @@ def twisted_semidirect(x, r, omega0, omega1, alpha, phi_g):
     """
     t = r.target
     dg, dh, dw, dv = x.g.dim, x.h.dim, t.dim_w, t.dim_v
+    # the lattice layouts of omega0, omega1 and alpha
+    at_020 = Space(0, 2, 0, dh, dg, dv)
+    at_002 = Space(0, 0, 2, dh, dg, dw)
+    at_011 = Space(0, 1, 1, dh, dg, dw)
     e1 = _twisted_sum(x.g, [r.rho0_w.act(x.mu.col(a)) for a in range(dg)],
-                      dw, omega1)
-    e0 = _twisted_sum(x.h, r.rho0_v.mats, dv, omega0)
+                      dw, omega1, lambda pair: at_002.block((), pair))
+    e0 = _twisted_sum(x.h, r.rho0_v.mats, dv, omega0,
+                      lambda pair: at_020.block(pair, ()))
     eps = x.mu.hstack(Matrix.zero(dh, dw)).vstack(phi_g.hstack(t.phi))
     top_right = Matrix.zero(dg, dw)
     mats = []
     for b in range(dh):
         # column a of the lower-left block is -alpha(e_b; e_a)
-        block = alpha[b * dg * dw:(b + 1) * dg * dw]
-        lower_left = Matrix(dw, dg, [[-block[a * dw + i] for a in range(dg)]
+        starts = [at_011.block((b,), (a,)) for a in range(dg)]
+        lower_left = Matrix(dw, dg, [[-alpha[s + i] for s in starts]
                                      for i in range(dw)])
         mats.append(x.action.mats[b].hstack(top_right).vstack(
             lower_left.hstack(r.rho0_w.mats[b])))
@@ -183,14 +187,17 @@ def twisted_semidirect(x, r, omega0, omega1, alpha, phi_g):
     return CrossedModuleAlg(e1, e0, eps, Representation(e0, dg + dw, mats))
 
 
-def _twisted_sum(base, rho, dc, omega):
+def _twisted_sum(base, rho, dc, omega, start):
     """base (+) Q^dc with [e_a, e_b] = ([e_a, e_b], -omega(e_a, e_b)) and
-    [e_a, c_k] = rho[a] c_k; omega holds dc values per increasing pair."""
+    [e_a, c_k] = rho[a] c_k; omega holds dc values per increasing pair
+    (a, b), from start((a, b)) on."""
     d = base.dim
     brackets = {}
-    for n, (a, b) in enumerate(increasing_tuples(d, 2)):
-        brackets[(a, b)] = (base.basis_bracket(a, b)
-                            + [-c for c in omega[n * dc:(n + 1) * dc]])
+    for a in range(d):
+        for b in range(a + 1, d):
+            s = start((a, b))
+            brackets[(a, b)] = (base.basis_bracket(a, b)
+                                + [-c for c in omega[s:s + dc]])
     for a in range(d):
         for k in range(dc):
             brackets[(a, d + k)] = [0] * d + rho[a].col(k)

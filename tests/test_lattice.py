@@ -5,6 +5,7 @@ import hashlib
 import os
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -533,117 +534,131 @@ def _act_w(ctx, y):
     return ctx.rep.rho0_w.act(y)
 
 
+def _check_components_pointwise(ctx, rng, p, q, r):
+    """Evaluate the defining formulas of the component differentials out
+    of C^{p,q}_r directly, through alternating cochain evaluation at random
+    vector tuples, and compare with the assembled matrices.  Returns the
+    orders k of the difference maps checked with a nonzero matrix."""
+    x = ctx.x
+    c = LatticeCochain(ctx, p, q, r, _rand_vec(rng, ctx.cochain_dim(p, q, r)))
+    gp = ctx.nerve(p)
+    tp = ctx.target(p)
+    xis = [_rand_vec(rng, ctx.gp_dim(p)) for _ in range(q + 1)]
+    zs = [_rand_vec(rng, ctx.dg) for _ in range(r)]
+
+    # deltaR oracle
+    out = [Q0] * (ctx.dv if r == 0 else ctx.dw)
+    for j in range(q + 1):
+        rest = xis[:j] + xis[j + 1:]
+        y = tp.apply(xis[j])
+        sign = -1 if j % 2 else 1
+        if r == 0:
+            val = ctx.rep.rho0_v.act(y).apply(c.evaluate(rest, []))
+        else:
+            val = _act_w(ctx, y).apply(c.evaluate(rest, zs))
+            ly = x.action.act(y)
+            for k in range(r):
+                moved = zs[:k] + [ly.apply(zs[k])] + zs[k + 1:]
+                val = [a - b for a, b in
+                       zip(val, c.evaluate(rest, moved))]
+        out = [a + sign * b for a, b in zip(out, val)]
+    for m in range(q + 1):
+        for n in range(m + 1, q + 1):
+            br = gp.bracket(xis[m], xis[n])
+            rest = [xis[t] for t in range(q + 1) if t not in (m, n)]
+            sign = -1 if (m + n) % 2 else 1
+            out = [a + sign * b for a, b in
+                   zip(out, c.evaluate([br] + rest, zs))]
+    mat = ctx.component_matrix("deltaR", p, q, r)
+    via_matrix = LatticeCochain(ctx, p, q + 1, r,
+                                mat.apply(c.values)).evaluate(xis, zs)
+    assert [Q0 + v for v in via_matrix] == [Q0 + v for v in out]
+
+    # partial oracle
+    xis_up = [_rand_vec(rng, ctx.gp_dim(p + 1)) for _ in range(q)]
+    out = [Q0] * (ctx.dv if r == 0 else ctx.dw)
+    for k in range(p + 2):
+        face = ctx.face(p, k)
+        sign = -1 if k % 2 else 1
+        val = c.evaluate([face.apply(v) for v in xis_up], zs)
+        out = [a + sign * b for a, b in zip(out, val)]
+    mat = ctx.component_matrix("partial", p, q, r)
+    via_matrix = LatticeCochain(ctx, p + 1, q, r,
+                                mat.apply(c.values)).evaluate(xis_up, zs)
+    assert [Q0 + v for v in via_matrix] == [Q0 + v for v in out]
+
+    # delta1 oracle
+    xis_q = xis[:q]
+    zs_up = [_rand_vec(rng, ctx.dg) for _ in range(r + 1)]
+    if r == 0:
+        out = ctx.rep.rho1_of(zs_up[0]).apply(c.evaluate(xis_q, []))
+    else:
+        out = [Q0] * ctx.dw
+        for k in range(r + 1):
+            rest = zs_up[:k] + zs_up[k + 1:]
+            sign = -1 if k % 2 else 1
+            val = _act_w(ctx, x.mu.apply(zs_up[k])).apply(
+                c.evaluate(xis_q, rest))
+            out = [a + sign * b for a, b in zip(out, val)]
+        for a_i in range(r + 1):
+            for b_i in range(a_i + 1, r + 1):
+                br = x.g.bracket(zs_up[a_i], zs_up[b_i])
+                rest = [zs_up[t] for t in range(r + 1)
+                        if t not in (a_i, b_i)]
+                sign = -1 if (a_i + b_i) % 2 else 1
+                out = [u + sign * v for u, v in
+                       zip(out, c.evaluate(xis_q, [br] + rest))]
+    mat = ctx.component_matrix("delta1", p, q, r)
+    via_matrix = LatticeCochain(ctx, p, q, r + 1,
+                                mat.apply(c.values)).evaluate(xis_q, zs_up)
+    assert [Q0 + v for v in via_matrix] == [Q0 + v for v in out]
+
+    # DeltaK oracle (all orders)
+    checked = []
+    for k_ord in range(1, r + 1):
+        xis_d = [_rand_vec(rng, ctx.gp_dim(p + 1))
+                 for _ in range(q + k_ord)]
+        zs_d = [_rand_vec(rng, ctx.dg) for _ in range(r - k_ord)]
+        face0 = ctx.face(p, 0)
+        out = [Q0] * ctx.dw
+        for subset in combinations(range(q + k_ord), k_ord):
+            sign = -1 if sum(subset) % 2 else 1
+            kept = [face0.apply(xis_d[t]) for t in range(q + k_ord)
+                    if t not in subset]
+            xparts = [xis_d[t][:ctx.dg] for t in subset]
+            val = c.evaluate(kept, xparts + zs_d)
+            out = [a + sign * b for a, b in zip(out, val)]
+        if r == k_ord:
+            out = ctx.phi.apply(out)
+        mat = ctx.component_matrix("DeltaK", p, q, r, k_ord)
+        via_matrix = LatticeCochain(
+            ctx, p + 1, q + k_ord, r - k_ord,
+            mat.apply(c.values)).evaluate(xis_d, zs_d)
+        assert [Q0 + v for v in via_matrix] == [Q0 + v for v in out]
+        if not mat.is_zero():
+            checked.append(k_ord)
+    return checked
+
+
 def test_component_matrices_against_direct_formulas():
-    """Independent oracle: evaluate the defining formulas of the component
-    differentials directly through alternating cochain evaluation at random
-    vector tuples and compare with the assembled matrices."""
+    """Independent oracle for every component kind at p <= 2, r <= 3: 40
+    random small contexts at random indices, and a context with dim g =
+    dim h = 3 out of every (p, q, 3) block with q <= 1, which covers
+    Delta_1..Delta_3 and phi Delta_3 at r = k = 3."""
     rng = rng_from_seed(41)
     trials = 0
-    while trials < 12:
+    while trials < 40:
         x, rep = random_context(rng, 2)
         ctx = LatticeContext(x, rep)
-        p = rng.randint(0, 1)
-        q = rng.randint(0, 2)
-        r = rng.randint(0, 2)
-        dim = ctx.cochain_dim(p, q, r)
-        if dim == 0:
-            continue
-        trials += 1
-        c = LatticeCochain(ctx, p, q, r, _rand_vec(rng, dim))
-        gp = ctx.nerve(p)
-        tp = ctx.target(p)
-        xis = [_rand_vec(rng, ctx.gp_dim(p)) for _ in range(q + 1)]
-        zs = [_rand_vec(rng, ctx.dg) for _ in range(r)]
-
-        # deltaR oracle
-        out = [Q0] * (ctx.dv if r == 0 else ctx.dw)
-        for j in range(q + 1):
-            rest = xis[:j] + xis[j + 1:]
-            y = tp.apply(xis[j])
-            sign = -1 if j % 2 else 1
-            if r == 0:
-                val = ctx.rep.rho0_v.act(y).apply(c.evaluate(rest, []))
-            else:
-                val = _act_w(ctx, y).apply(c.evaluate(rest, zs))
-                ly = x.action.act(y)
-                for k in range(r):
-                    moved = zs[:k] + [ly.apply(zs[k])] + zs[k + 1:]
-                    val = [a - b for a, b in
-                           zip(val, c.evaluate(rest, moved))]
-            out = [a + sign * b for a, b in zip(out, val)]
-        for m in range(q + 1):
-            for n in range(m + 1, q + 1):
-                br = gp.bracket(xis[m], xis[n])
-                rest = [xis[t] for t in range(q + 1) if t not in (m, n)]
-                sign = -1 if (m + n) % 2 else 1
-                out = [a + sign * b for a, b in
-                       zip(out, c.evaluate([br] + rest, zs))]
-        mat = ctx.component_matrix("deltaR", p, q, r)
-        via_matrix = LatticeCochain(ctx, p, q + 1, r,
-                                    mat.apply(c.values)).evaluate(xis, zs)
-        assert [Q0 + v for v in via_matrix] == [Q0 + v for v in out]
-
-        # partial oracle
-        xis_up = [_rand_vec(rng, ctx.gp_dim(p + 1)) for _ in range(q)]
-        out = [Q0] * (ctx.dv if r == 0 else ctx.dw)
-        for k in range(p + 2):
-            face = ctx.face(p, k)
-            sign = -1 if k % 2 else 1
-            val = c.evaluate([face.apply(v) for v in xis_up], zs)
-            out = [a + sign * b for a, b in zip(out, val)]
-        mat = ctx.component_matrix("partial", p, q, r)
-        via_matrix = LatticeCochain(ctx, p + 1, q, r,
-                                    mat.apply(c.values)).evaluate(xis_up, zs)
-        assert [Q0 + v for v in via_matrix] == [Q0 + v for v in out]
-
-        # delta1 oracle
-        xis_q = xis[:q]
-        zs_up = [_rand_vec(rng, ctx.dg) for _ in range(r + 1)]
-        if r == 0:
-            out = ctx.rep.rho1_of(zs_up[0]).apply(c.evaluate(xis_q, []))
-        else:
-            out = [Q0] * ctx.dw
-            for k in range(r + 1):
-                rest = zs_up[:k] + zs_up[k + 1:]
-                sign = -1 if k % 2 else 1
-                val = _act_w(ctx, x.mu.apply(zs_up[k])).apply(
-                    c.evaluate(xis_q, rest))
-                out = [a + sign * b for a, b in zip(out, val)]
-            for a_i in range(r + 1):
-                for b_i in range(a_i + 1, r + 1):
-                    br = x.g.bracket(zs_up[a_i], zs_up[b_i])
-                    rest = [zs_up[t] for t in range(r + 1)
-                            if t not in (a_i, b_i)]
-                    sign = -1 if (a_i + b_i) % 2 else 1
-                    out = [u + sign * v for u, v in
-                           zip(out, c.evaluate(xis_q, [br] + rest))]
-        mat = ctx.component_matrix("delta1", p, q, r)
-        via_matrix = LatticeCochain(ctx, p, q, r + 1,
-                                    mat.apply(c.values)).evaluate(xis_q, zs_up)
-        assert [Q0 + v for v in via_matrix] == [Q0 + v for v in out]
-
-        # DeltaK oracle (all orders)
-        from itertools import combinations
-        for k_ord in range(1, r + 1):
-            xis_d = [_rand_vec(rng, ctx.gp_dim(p + 1))
-                     for _ in range(q + k_ord)]
-            zs_d = [_rand_vec(rng, ctx.dg) for _ in range(r - k_ord)]
-            face0 = ctx.face(p, 0)
-            out = [Q0] * ctx.dw
-            for subset in combinations(range(q + k_ord), k_ord):
-                sign = -1 if sum(subset) % 2 else 1
-                kept = [face0.apply(xis_d[t]) for t in range(q + k_ord)
-                        if t not in subset]
-                xparts = [xis_d[t][:ctx.dg] for t in subset]
-                val = c.evaluate(kept, xparts + zs_d)
-                out = [a + sign * b for a, b in zip(out, val)]
-            if r == k_ord:
-                out = ctx.phi.apply(out)
-            mat = ctx.component_matrix("DeltaK", p, q, r, k_ord)
-            via_matrix = LatticeCochain(
-                ctx, p + 1, q + k_ord, r - k_ord,
-                mat.apply(c.values)).evaluate(xis_d, zs_d)
-            assert [Q0 + v for v in via_matrix] == [Q0 + v for v in out]
+        p, q, r = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 3)
+        if ctx.cochain_dim(p, q, r):
+            trials += 1
+            _check_components_pointwise(ctx, rng, p, q, r)
+    ctx = dim3_adjoint_context()
+    assert not ctx.phi.is_zero()
+    for p in range(3):
+        for q in range(2):
+            assert _check_components_pointwise(ctx, rng, p, q, 3) == [1, 2, 3]
 
 
 def test_total_cohomology_against_fincomplex():
@@ -743,6 +758,48 @@ def test_nabla_pinned_by_hash(name):
     got = tuple(hashlib.sha256(repr(ctx.nabla(n)).encode()).hexdigest()
                 for n in range(4))
     assert got == NABLA_SHA256[name]
+
+
+# sha256 of repr([sorted(row.items()) for row in ctx.nabla(4).sparse]),
+# taken when every component was still assembled term by term for each
+# target basis pair
+NABLA4_SPARSE_SHA256 = {
+    "bench/problems/adjoint_aff1.json":
+        "c0f0147ef1668a36e8a10801d00fdaa9431994967d386a7512807b65de918538",
+    "bench/problems/glphi_proj_adjoint.json":
+        "270fa8df10117d3a707928804c3aed6be5d59e7ecef555a84da19c0d01e08b30",
+    "bench/problems/glphi_zero_adjoint.json":
+        "ae506f87f9f0641168d9077f25c80d3dc08cda53a633c3d9c659b5080cb32aa6",
+    "bench/problems/heisenberg_g0_adjoint.json":
+        "fa333c937221d43c8fd0b485b7205bcfdc4f195284e38be40b5901eddc6b82e2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NABLA4_SPARSE_SHA256))
+def test_nabla4_pinned_by_sparse_hash(name):
+    ctx = load_problem(os.path.join(ROOT, name)).context()
+    rows = [sorted(row.items()) for row in ctx.nabla(4).sparse]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        NABLA4_SPARSE_SHA256[name]
+
+
+def test_component_matrix_refuses_bad_indices():
+    """A negative index, a difference order on a kind that takes none, a
+    missing or out-of-range order and an unknown kind are ValueErrors, and
+    nothing is cached for them."""
+    ctx = unit_context()
+    for args in (("partial", -1, 0, 0), ("deltaR", 0, -1, 0),
+                 ("delta1", 0, 0, -1), ("DeltaK", -1, 0, 1, 1),
+                 ("deltaR", 0, 0, 0, 3), ("delta1", 0, 0, 1, 1),
+                 ("partial", 0, 0, 1, 1), ("DeltaK", 0, 0, 1),
+                 ("DeltaK", 0, 0, 1, 2), ("DeltaK", 0, 0, 1, 0),
+                 ("nabla", 0, 0, 0)):
+        with pytest.raises(ValueError):
+            ctx.component_matrix(*args)
+    assert ctx.component_matrix("deltaR", 0, 0, 0) is \
+        ctx.component_matrix("deltaR", 0, 0, 0, None)
+    assert ctx.component_matrix("DeltaK", 0, 0, 1, 1).rows == \
+        ctx.cochain_dim(1, 1, 0)
 
 
 def _layout_contexts():
