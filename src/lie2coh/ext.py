@@ -4,8 +4,9 @@ trivial-coefficient central-extension construction."""
 
 import weakref
 
-from .numeric import (Matrix, Q0, Q1, rank, rank_and_kernel, solve_linear,
-                      vectors_matrix, increasing_tuples)
+from .numeric import (LinearSolver, Matrix, SparseMatrix, Q0, Q1, rank,
+                      rank_and_kernel, solve_linear, vectors_matrix,
+                      increasing_tuples)
 from .liealg import Representation, _unit
 from .lie2 import TwoVectorSpace, validate_crossed_module
 from .tworep import TwoRep, twisted_semidirect
@@ -59,6 +60,17 @@ class TwoCocycle:
                 _unit(ctx.dg, a), _unit(ctx.dg, b))
         return vals
 
+    def omega1_antisymmetry(self):
+        """Equation (ii): the defect omega1(e_a, e_b) + omega1(e_b, e_a)
+        of the derived omega1 at each increasing pair (a, b), in order."""
+        dg = self.ctx.dg
+        out = []
+        for (a, b) in increasing_tuples(dg, 2):
+            s = self.derived_omega1(_unit(dg, a), _unit(dg, b))
+            t = self.derived_omega1(_unit(dg, b), _unit(dg, a))
+            out.append(((a, b), [p + q for p, q in zip(s, t)]))
+        return out
+
     def total_vector(self):
         """Embedding into C^2_tot with the v and lambda coordinates zero."""
         return self.ctx.join(2, {(0, 2, 0): self.omega0.values,
@@ -69,12 +81,8 @@ class TwoCocycle:
     def validate(self):
         """Violated cocycle equations, named after the proposition."""
         ctx = self.ctx
-        bad = []
-        for (a, b) in increasing_tuples(ctx.dg, 2):
-            s = self.derived_omega1(_unit(ctx.dg, a), _unit(ctx.dg, b))
-            t = self.derived_omega1(_unit(ctx.dg, b), _unit(ctx.dg, a))
-            if any(p + q != 0 for p, q in zip(s, t)):
-                bad.append(("ii", (a, b)))
+        bad = [("ii", pair) for pair, defect in self.omega1_antisymmetry()
+               if any(defect)]
         out = ctx.split(3, ctx.nabla(2).apply(self.total_vector()))
         for block, piece in out.items():
             if any(x != 0 for x in piece):
@@ -198,13 +206,16 @@ def cocycle_from_extension(e, sigma0, sigma1, base_x=None):
     assert (pi0 * sigma0 - Matrix.identity(dh)).is_zero(), "sigma0 not a section"
     assert (pi1 * sigma1 - Matrix.identity(dg)).is_zero(), "sigma1 not a section"
 
+    # each inclusion is factored once and solved for every read
+    w_solver, v_solver = LinearSolver(j1), LinearSolver(j0)
+
     def w_coords(vec):
-        sol = solve_linear(j1, vec)
+        sol = w_solver.solve(vec)
         assert sol is not None, "value not in W"
         return sol
 
     def v_coords(vec):
-        sol = solve_linear(j0, vec)
+        sol = v_solver.solve(vec)
         assert sol is not None, "value not in V"
         return sol
 
@@ -222,12 +233,15 @@ def cocycle_from_extension(e, sigma0, sigma1, base_x=None):
         act = total.action.act(s_y)
         cols_w = [w_coords(act.apply(j1.col(a))) for a in range(dw)]
         rho0_w_mats.append(vectors_matrix(cols_w, dim=dw))
+    act_v = [total.action.act(j0.col(b)) for b in range(dv)]
     for a in range(dg):
         s_x = sigma1.col(a)
-        cols = [w_coords([-t for t in total.action.act(j0.col(b)).apply(s_x)])
-                for b in range(dv)]
+        cols = [w_coords([-t for t in act.apply(s_x)]) for act in act_v]
         rho1_mats.append(vectors_matrix(cols, dim=dw))
-    rep = TwoRep(x, _target_of(e), rho1_mats,
+    # phi: W -> V through the extension: eps on the included W lands in V
+    phi = vectors_matrix([v_coords(total.mu.apply(j1.col(a)))
+                          for a in range(dw)], dim=dv)
+    rep = TwoRep(x, TwoVectorSpace(dw, dv, phi), rho1_mats,
                  Representation(x.h, dw, rho0_w_mats),
                  Representation(x.h, dv, rho0_v_mats))
     # the cocycle's own context when the splitting induces its
@@ -266,18 +280,6 @@ def cocycle_from_extension(e, sigma0, sigma1, base_x=None):
     bad = coc.validate()
     assert not bad, "extracted cocycle failed validation: %s" % (bad,)
     return rep, coc
-
-
-def _target_of(e):
-    dw, dv = e.include_w.cols, e.include_v.cols
-    # phi: W -> V through the extension: eps on the included W lands in V
-    cols = []
-    for a in range(dw):
-        vec = e.total.mu.apply(e.include_w.col(a))
-        sol = solve_linear(e.include_v, vec)
-        assert sol is not None
-        cols.append(sol)
-    return TwoVectorSpace(dw, dv, vectors_matrix(cols, dim=dv))
 
 
 def coboundary_solve(c1, c2):
@@ -330,13 +332,8 @@ def _slice_conditions(ctx):
         u[k] = Q1
         coc = cocycle_from_slice(ctx, u)
         col = nabla2.apply(coc.total_vector())
-        # antisymmetry defect of the derived omega1 on increasing pairs
-        anti = []
-        for (a, b) in increasing_tuples(ctx.dg, 2):
-            s = coc.derived_omega1(_unit(ctx.dg, a), _unit(ctx.dg, b))
-            t = coc.derived_omega1(_unit(ctx.dg, b), _unit(ctx.dg, a))
-            anti.extend([p + q for p, q in zip(s, t)])
-        rows.append(col + anti)
+        rows.append(col + [x for _, defect in coc.omega1_antisymmetry()
+                           for x in defect])
     cond = Matrix(total, len(rows[0]), rows).transpose() \
         if rows else Matrix.zero(0, total)
     _SLICE_CONDITIONS[ctx] = cond
@@ -356,21 +353,17 @@ def cocycle_slice_class_count(ctx):
     cond = _slice_conditions(ctx)
     z_dim = cond.cols - rank(cond)
 
-    # coboundary image inside the slice coordinates
+    # the coboundaries in the slice: the rank of nabla_1 from the lambda0
+    # and lambda1 blocks to omega0, alpha and phimap on g, the first
+    # dg * dv values of (1,1,0); row and column order do not change it
+    rows_at = ctx.split(2, list(range(ctx.total_dim(2))))
+    cols_at = ctx.split(1, list(range(ctx.total_dim(1))))
+    lam = set(cols_at.get((0, 1, 0), []) + cols_at.get((0, 0, 1), []))
     nabla1 = ctx.nabla(1)
-    cols = []
-    for block in ((0, 1, 0), (0, 0, 1)):        # lambda0, then lambda1
-        size = ctx.cochain_dim(*block)
-        for k in range(size):
-            img = ctx.split(2, nabla1.apply(
-                ctx.join(1, {block: _unit(size, k)})))
-            # phimap slice coordinates by rows, g-columns only
-            phimap = ctx.block_matrix((1, 1, 0), img.get((1, 1, 0), []),
-                                      ctx.dg)
-            cols.append(img.get((0, 2, 0), []) + img.get((0, 1, 1), [])
-                        + [x for row in phimap.data for x in row])
-    b_dim = rank(vectors_matrix(cols, dim=cond.cols)) if cols else 0
-    return z_dim - b_dim
+    rows = [{j: x for j, x in nabla1.sparse[i].items() if j in lam}
+            for i in (rows_at.get((0, 2, 0), []) + rows_at.get((0, 1, 1), [])
+                      + rows_at.get((1, 1, 0), [])[:ctx.dg * ctx.dv])]
+    return z_dim - rank(SparseMatrix(len(rows), nabla1.cols, rows))
 
 
 # ---------------------------------------------------------------------------

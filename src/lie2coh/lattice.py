@@ -70,12 +70,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from .numeric import (Matrix, SparseMatrix, Space, Q0, rank, rank_and_kernel,
-                      increasing_tuples, _add_multiple, _demote, _echelon,
-                      _nonzero, _row_copies)
-from .liealg import _unit, _sort_sign, sparse_columns
+                      increasing_tuples, _demote, _echelon, _nonzero,
+                      _row_copies)
+from .liealg import _sort_sign, ce_differential, sparse_columns
 from .lie2 import (TwoVectorSpace, nerve_algebra, face_columns, face_matrix,
                    final_target_matrix, validate_crossed_module)
-from .tworep import TwoRep, validate_two_rep, bar_rho
+from .tworep import TwoRep, validate_two_rep, honest_rep
 
 # Sign of Delta_k on C^{p,q}_r inside the total differential.  Calibrated
 # against nabla^2 = 0 as an exact matrix identity (the one free parameter
@@ -624,69 +624,38 @@ class LatticeContext:
         return self.dv - rank(m)
 
     def h1_der_inn(self):
-        """(dim Der, dim Inn, dim Out) computed from the honest
-        representation route, independent of the lattice matrices.  The
-        unknowns are lambda0 then lambda1, row-major; the constraints are
-        sparse {unknown: coefficient} rows."""
-        x, rep = self.x, self.rep
-        dg, dh, dw, dv = self.dg, self.dh, self.dw, self.dv
-        n_unk = dh * dv + dg * dw
+        """(dim Der, dim Inn, dim Out), read off the honest representation
+        rather than the lattice matrices.
 
-        def l0(b, a):
-            return b * dv + a
-
-        def l1(j, a):
-            return dh * dv + j * dw + a
-
-        # 2-vector-space map: phi lambda1 = lambda0 mu, per g-basis vector
-        phi = self.phi.data
-        rows = []
+        A derivation is a pair lambda0: h -> V, lambda1: g -> W with
+        phi lambda1 = lambda0 mu whose sum lambda1 (+) lambda0 is a
+        Chevalley-Eilenberg 1-cocycle of g_1 = g (+) h in the honest
+        representation bar rho on W (+) V.  So Der is the kernel of
+        ce_differential(bar rho, 1) on the block-diagonal cochains, with
+        the phi rows added.  Inn is the image of v -> (rho0^0(.) v,
+        rho1(.) v), whose kernel is the joint kernel h0_invariants counts:
+        by rank-nullity, dim Inn = dim V - dim H^0."""
+        dg, dw, dv = self.dg, self.dw, self.dv
+        d = ce_differential(honest_rep(self.rep, self.nerve(1)), 1)
+        # a 1-cochain of g_1 holds its value at e_i, W part first, in the
+        # columns from i * width on: lambda1(e_j) is the W part at e_j,
+        # lambda0(e_b) the V part at e_{dg + b}
+        width = dw + dv
+        lam1 = [range(j * width, j * width + dw) for j in range(dg)]
+        lam0 = [range((dg + b) * width + dw, (dg + b + 1) * width)
+                for b in range(self.dh)]
+        unknowns = [c for cols in lam1 + lam0 for c in cols]
+        rows = [{c: row[c] for c in unknowns} for row in d.data]
+        # phi lambda1 = lambda0 mu, per basis vector e_j of g
         for j in range(dg):
-            mu_j = x.mu.col(j)
+            mu_j = self.x.mu.col(j)
             for a in range(dv):
-                row = {l1(j, b): c for b, c in enumerate(phi[a]) if c}
-                row.update((l0(b, a), -c) for b, c in enumerate(mu_j) if c)
+                row = {lam1[j][b]: c for b, c in enumerate(self.phi.data[a])}
+                row.update((lam0[b][a], -c) for b, c in enumerate(mu_j))
                 rows.append(row)
-
-        # derivation property w.r.t. bar rho on basis pairs of g (+) h
-        def lam_bar_rows(vec):
-            """Rows extracting (lambda1 x, lambda0 y) of vec in W (+) V."""
-            xv, yv = vec[:dg], vec[dg:]
-            return ([{l1(j, a): c for j, c in enumerate(xv) if c}
-                     for a in range(dw)]
-                    + [{l0(b, a): c for b, c in enumerate(yv) if c}
-                       for a in range(dv)])
-
-        rbar = bar_rho(rep)
-        arrows = rbar.algebra
-        for i in range(arrows.dim):
-            for j in range(i + 1, arrows.dim):
-                lhs = lam_bar_rows(arrows.basis_bracket(i, j))
-                rhs_i = lam_bar_rows(_unit(arrows.dim, j))
-                rhs_j = lam_bar_rows(_unit(arrows.dim, i))
-                mi = rbar.mats[i].data
-                mj = rbar.mats[j].data
-                for a in range(dw + dv):
-                    row = lhs[a]
-                    for c in range(dw + dv):
-                        if mi[a][c]:
-                            _add_multiple(row, -mi[a][c], rhs_i[c])
-                        if mj[a][c]:
-                            _add_multiple(row, mj[a][c], rhs_j[c])
-                    rows.append(row)
-
         rows = [_nonzero(row) for row in rows]
-        dim_der = n_unk - rank(SparseMatrix(len(rows), n_unk, rows))
-        # inner: v -> (lambda0, lambda1) = (rho0^0(.) v, rho1(.) v),
-        # intersected with Der (it always lands there); one row per v
-        inner = []
-        for c in range(dv):
-            row = {l0(b, a): m.data[a][c]
-                   for b, m in enumerate(rep.rho0_v.mats) for a in range(dv)}
-            row.update((l1(j, a), m.data[a][c])
-                       for j, m in enumerate(rep.rho1) for a in range(dw))
-            inner.append(_nonzero(row))
-        dim_inn = rank(SparseMatrix(dv, n_unk, inner))
+        dim_der = len(unknowns) - rank(SparseMatrix(len(rows), d.cols, rows))
+        dim_inn = dv - self.h0_invariants()
         return dim_der, dim_inn, dim_der - dim_inn
 
 

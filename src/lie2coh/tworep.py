@@ -127,8 +127,13 @@ def bar_rho(r):
     """The honest representation of g (+)_L h on W (+) V induced by r:
     (x, y) -> [[rho0^1(y + mu x), rho1(x)], [0, rho0^0(y)]]."""
     assert not validate_two_rep(r), "invalid 2-representation"
+    return honest_rep(r, lie2_arrows(r.source))
+
+
+def honest_rep(r, arrows):
+    """bar_rho(r) on arrows, the nerve algebra g_1 of r.source; no
+    validation."""
     x, t = r.source, r.target
-    arrows = lie2_arrows(x)
     lower_left = Matrix.zero(t.dim_v, t.dim_w)
     mats = []
     for i in range(arrows.dim):

@@ -15,7 +15,7 @@ from lie2coh.ext import (TwoCocycle, zero_cocycle, extension_from_cocycle,
                          coboundary_solve, cocycle_space_basis,
                          cocycle_from_slice, cocycle_slice_class_count,
                          trivial_coeff_extension, trivial_cocycle_defects,
-                         contexts_match)
+                         contexts_match, _slice_conditions)
 from lie2coh.samples import rng_from_seed, random_context, random_matrix
 
 
@@ -159,6 +159,31 @@ def test_extraction_reuses_the_cocycle_context():
     assert replaced
 
 
+def test_extraction_factors_each_inclusion_once(monkeypatch):
+    """Extraction factors include_w and include_v once each and solves
+    every read with those factorizations, not by a fresh elimination."""
+    from lie2coh import ext as ext_module
+    rng = rng_from_seed(75)
+    x, rep = random_context(rng, 2)
+    coc = random_valid_cocycle(LatticeContext(x, rep), rng)
+    e = extension_from_cocycle(coc)
+    factored = []
+    original = ext_module.LinearSolver
+
+    def solver(a):
+        factored.append(a)
+        return original(a)
+
+    def refuse(*args):
+        raise AssertionError("a fresh elimination per read")
+
+    monkeypatch.setattr(ext_module, "LinearSolver", solver)
+    monkeypatch.setattr(ext_module, "solve_linear", refuse)
+    _, back = cocycle_from_extension(e, *canonical_splitting(e), base_x=x)
+    assert back == coc
+    assert factored == [e.include_w, e.include_v]
+
+
 def test_splitting_independence():
     rng = rng_from_seed(8)
     done = 0
@@ -283,6 +308,52 @@ def test_class_count_reuses_the_slice_conditions(monkeypatch):
     assert cocycle_slice_class_count(ctx) == cold == \
         ctx.total_cohomology(2)[0]
     assert calls == []
+
+
+def test_class_count_applies_no_matrix(monkeypatch):
+    """With the slice conditions built, the class count maps no vector
+    through nabla_1: it ranks nabla_1's own rows at the slice coordinates."""
+    from lie2coh import numeric
+    rng = rng_from_seed(14)
+    contexts = [central_context()] + [LatticeContext(*random_context(rng, 2))
+                                      for _ in range(6)]
+    expected = []
+    for ctx in contexts:
+        cocycle_space_basis(ctx)
+        expected.append(ctx.total_cohomology(2)[0])
+
+    def refuse(*args):
+        raise AssertionError("a matrix was applied to a vector")
+
+    monkeypatch.setattr(numeric.Matrix, "apply", refuse)
+    monkeypatch.setattr(numeric.SparseMatrix, "apply", refuse)
+    assert [cocycle_slice_class_count(ctx) for ctx in contexts] == expected
+
+
+def test_antisymmetry_defect_shared_by_validate_and_slice():
+    """Equation (ii) is one check: validate names the pairs whose
+    omega1_antisymmetry defect is nonzero, and the slice conditions end
+    with those defects, coordinate by coordinate."""
+    rng = rng_from_seed(15)
+    seen = 0
+    for _ in range(40):
+        ctx = LatticeContext(*random_context(rng, 2))
+        n = (ctx.cochain_dim(0, 2, 0) + ctx.cochain_dim(0, 1, 1)
+             + ctx.dv * ctx.dg)
+        u = [rng.randint(-2, 2) for _ in range(n)]
+        coc = cocycle_from_slice(ctx, u)
+        defects = coc.omega1_antisymmetry()
+        assert [pair for pair, _ in defects] == \
+            [(a, b) for a in range(ctx.dg) for b in range(a + 1, ctx.dg)]
+        assert [("ii", pair) for pair, d in defects if any(d)] == \
+            [v for v in coc.validate() if v[0] == "ii"]
+        flat = [x for _, d in defects for x in d]
+        cond = _slice_conditions(ctx)
+        tail = cond.rows - len(flat)
+        assert [sum(cond.data[tail + i][k] * u[k] for k in range(n))
+                for i in range(len(flat))] == flat
+        seen += any(flat)
+    assert seen >= 5
 
 
 def test_cohomologous_extensions_isomorphic():

@@ -263,6 +263,61 @@ def test_low_degree_interpretations_random():
         assert der >= inn >= 0
 
 
+# (dim H^0, dim Der, dim Inn, dim Out), taken when Der and Inn were still
+# ranked from derivation and inner rows written out by hand
+LOW_DEGREE = {
+    "bench/problems/adjoint_aff1.json": (0, 4, 2, 2),
+    "bench/problems/glphi_proj_adjoint.json": (1, 3, 2, 1),
+    "bench/problems/glphi_zero_adjoint.json": (1, 6, 4, 2),
+    "bench/problems/heisenberg_g0_adjoint.json": (1, 6, 2, 4),
+    "tests/fixtures/adjoint_aff1.json": (0, 4, 2, 2),
+    "tests/fixtures/central_h2.json": (1, 2, 0, 2),
+}
+# the same for 40 random_context draws from seed 37, max_dim 3 at every
+# fourth draw and 2 otherwise
+LOW_DEGREE_RANDOM = [
+    (1, 1, 0, 1), (0, 1, 1, 0), (2, 0, 0, 0), (1, 1, 0, 1), (0, 0, 0, 0),
+    (1, 1, 0, 1), (1, 1, 0, 1), (0, 1, 0, 1), (0, 0, 0, 0), (1, 2, 0, 2),
+    (1, 3, 1, 2), (0, 4, 0, 4), (1, 1, 0, 1), (0, 0, 0, 0), (1, 0, 0, 0),
+    (1, 0, 0, 0), (2, 2, 0, 2), (2, 0, 0, 0), (0, 2, 1, 1), (0, 0, 0, 0),
+    (0, 4, 0, 4), (0, 1, 0, 1), (0, 2, 0, 2), (2, 5, 0, 5), (1, 2, 1, 1),
+    (0, 1, 0, 1), (0, 0, 0, 0), (1, 2, 0, 2), (1, 3, 1, 2), (0, 2, 1, 1),
+    (0, 2, 0, 2), (3, 0, 0, 0), (0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 0, 0),
+    (1, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0), (2, 4, 0, 4), (0, 0, 0, 0),
+]
+
+
+def test_low_degree_interpretations_pinned():
+    for name, expected in sorted(LOW_DEGREE.items()):
+        ctx = load_problem(os.path.join(ROOT, name)).context()
+        assert (ctx.h0_invariants(),) + ctx.h1_der_inn() == expected, name
+    rng = rng_from_seed(37)
+    got = [LatticeContext(*random_context(rng, 3 if k % 4 == 3 else 2))
+           for k in range(len(LOW_DEGREE_RANDOM))]
+    assert [(ctx.h0_invariants(),) + ctx.h1_der_inn() for ctx in got] == \
+        LOW_DEGREE_RANDOM
+
+
+def test_interpretations_reuse_the_context(monkeypatch):
+    """Once a context exists and its g_1 is built, H^0 and Der/Inn neither
+    validate anything again nor rebuild a nerve algebra."""
+    from lie2coh import ext, lattice, lie2, liealg, numeric, tworep
+    contexts = [load_problem(os.path.join(ROOT, name)).context()
+                for name in sorted(LOW_DEGREE)]
+    for ctx in contexts:
+        ctx.nerve(1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called again")
+
+    for mod in (numeric, liealg, lie2, tworep, lattice, ext):
+        for name in dir(mod):
+            if name.startswith("validate_") or name == "nerve_algebra":
+                monkeypatch.setattr(mod, name, refuse)
+    assert [(ctx.h0_invariants(),) + ctx.h1_der_inn()
+            for ctx in contexts] == [v for _, v in sorted(LOW_DEGREE.items())]
+
+
 def test_cohomology_representatives_are_cocycles():
     ctx = dim3_adjoint_context()
     for n in range(3):
