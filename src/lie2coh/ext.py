@@ -4,9 +4,9 @@ trivial-coefficient central-extension construction."""
 
 import weakref
 
-from .numeric import (LinearSolver, Matrix, SparseMatrix, Q0, Q1, rank,
+from .numeric import (LinearSolver, Matrix, SparseMatrix, Q0, rank,
                       rank_and_kernel, solve_linear, vectors_matrix,
-                      increasing_tuples)
+                      increasing_tuples, _add_multiple, _nonzero)
 from .liealg import Representation, _unit
 from .lie2 import TwoVectorSpace, validate_crossed_module
 from .tworep import TwoRep, twisted_semidirect
@@ -30,6 +30,7 @@ class TwoCocycle:
     (0,2,0), (0,1,1) and (1,1,0); phimap depends only on the g-slot.
 
     omega1 is derived: omega1(x0, x1) = rho1(x1) phi(x0) + alpha(mu x0; x1).
+    It, (ii) and the total vector are read off the slice through _slice_map.
     """
 
     def __init__(self, ctx, omega0, alpha, phi_g):
@@ -38,56 +39,32 @@ class TwoCocycle:
         self.alpha = LatticeCochain(ctx, 0, 1, 1, alpha)
         assert phi_g.rows == ctx.dv and phi_g.cols == ctx.dg
         self.phi_g = phi_g
-        # phimap on g_1 = g (+) h: phi_g on g, zero on h
-        self.phimap = LatticeCochain(ctx, 1, 1, 0,
-                                     ctx.block_values((1, 1, 0), phi_g))
-
-    def derived_omega1(self, x0, x1):
-        """rho1(x1) phi(x0) + alpha(mu x0; x1)."""
-        ctx = self.ctx
-        a = ctx.rep.rho1_of(x1).apply(self.phi_g.apply(x0))
-        b = self.alpha.evaluate([ctx.x.mu.apply(x0)], [x1])
-        return [p + q for p, q in zip(a, b)]
+        self.slice = (self.omega0.values + self.alpha.values
+                      + [x for row in phi_g.data for x in row])
 
     def omega1_values(self):
         """The derived omega1 on increasing pairs, as a (0,0,2) cochain."""
-        ctx = self.ctx
-        space = ctx.space(0, 0, 2)
-        vals = [Q0] * space.total_dim
-        for a, b in space.g_tuples:
-            start = space.block((), (a, b))
-            vals[start:start + space.coeff_dim] = self.derived_omega1(
-                _unit(ctx.dg, a), _unit(ctx.dg, b))
-        return vals
+        return self.ctx.split(2, self.total_vector()).get((0, 0, 2), [])
 
     def omega1_antisymmetry(self):
         """Equation (ii): the defect omega1(e_a, e_b) + omega1(e_b, e_a)
         of the derived omega1 at each increasing pair (a, b), in order."""
-        dg = self.ctx.dg
-        out = []
-        for (a, b) in increasing_tuples(dg, 2):
-            s = self.derived_omega1(_unit(dg, a), _unit(dg, b))
-            t = self.derived_omega1(_unit(dg, b), _unit(dg, a))
-            out.append(((a, b), [p + q for p, q in zip(s, t)]))
-        return out
+        return _by_pair(self.ctx, _slice_map(self.ctx)[1].apply(self.slice))
 
     def total_vector(self):
         """Embedding into C^2_tot with the v and lambda coordinates zero."""
-        return self.ctx.join(2, {(0, 2, 0): self.omega0.values,
-                                 (0, 1, 1): self.alpha.values,
-                                 (1, 1, 0): self.phimap.values,
-                                 (0, 0, 2): self.omega1_values()})
+        return _slice_map(self.ctx)[0].apply(self.slice)
 
     def validate(self):
         """Violated cocycle equations, named after the proposition."""
         ctx = self.ctx
-        bad = [("ii", pair) for pair, defect in self.omega1_antisymmetry()
-               if any(defect)]
-        out = ctx.split(3, ctx.nabla(2).apply(self.total_vector()))
-        for block, piece in out.items():
-            if any(x != 0 for x in piece):
-                bad.append((_EQUATION_OF_BLOCK.get(block, str(block)), block))
-        return bad
+        values = _slice_conditions(ctx).apply(self.slice)
+        n = ctx.total_dim(3)
+        return ([("ii", pair) for pair, defect in _by_pair(ctx, values[n:])
+                 if any(defect)]
+                + [(_EQUATION_OF_BLOCK.get(block, str(block)), block)
+                   for block, piece in ctx.split(3, values[:n]).items()
+                   if any(piece)])
 
     def values_triple(self):
         return (list(self.omega0.values), list(self.alpha.values),
@@ -311,33 +288,72 @@ def cocycle_from_slice(ctx, u):
                 for i in range(ctx.dv)]))
 
 
-# the slice conditions of each live context, built once: the cocycle
-# basis and the class count both start from them
-_SLICE_CONDITIONS = weakref.WeakKeyDictionary()
+# the slice map and the slice conditions of each live context, each built
+# once: the cocycle basis, the class count and every TwoCocycle read them
+_SLICES = weakref.WeakKeyDictionary()
+
+
+def _slice_map(ctx):
+    """(embed, antisymmetry, positions) on the slice coordinates (omega0 |
+    alpha | phi_g by rows) of cocycle_from_slice, built once.  embed:
+    slice -> C^2_tot maps coordinate k to positions[k] and gives omega1(e_a,
+    e_b) = rho1(e_b) phi_g(e_a) + alpha(mu e_a; e_b) at (0,0,2);
+    antisymmetry gives the equation (ii) defect omega1(e_a, e_b) +
+    omega1(e_b, e_a), dw rows per increasing pair (a, b)."""
+    cache = _SLICES.setdefault(ctx, {})
+    if "map" in cache:
+        return cache["map"]
+    dg, dv = ctx.dg, ctx.dv
+    at = ctx.split(2, list(range(ctx.total_dim(2))))
+    phi_at = ctx.block_matrix((1, 1, 0), at.get((1, 1, 0), []), dg)
+    positions = (at.get((0, 2, 0), []) + at.get((0, 1, 1), [])
+                 + [pos for row in phi_at.data for pos in row])
+    n0 = ctx.cochain_dim(0, 2, 0)
+    phi0 = n0 + ctx.cochain_dim(0, 1, 1)
+    alpha_space = ctx.space(0, 1, 1)
+    mu, rho1 = ctx.x.mu.data, [m.data for m in ctx.rep.rho1]
+
+    def omega1(a, b):
+        # the dw rows of omega1(e_a, e_b); phi_g and alpha keys are apart
+        rows = []
+        for i in range(ctx.dw):
+            row = {phi0 + k * dg + a: rho1[b][i][k] for k in range(dv)}
+            row.update((n0 + alpha_space.block((c,), (b,)) + i, mu[c][a])
+                       for c in range(ctx.dh))
+            rows.append(_nonzero(row))
+        return rows
+
+    embed = [{} for _ in range(ctx.total_dim(2))]
+    for k, pos in enumerate(positions):
+        embed[pos] = {k: 1}
+    space, omega1_at = ctx.space(0, 0, 2), at.get((0, 0, 2), [])
+    ii = []
+    for a, b in space.g_tuples:
+        start = space.block((), (a, b))
+        for i, (row, other) in enumerate(zip(omega1(a, b), omega1(b, a))):
+            embed[omega1_at[start + i]] = row
+            _add_multiple(other, 1, row)
+            ii.append(other)
+    n = len(positions)
+    cache["map"] = (SparseMatrix(len(embed), n, embed),
+                    SparseMatrix(len(ii), n, ii), positions)
+    return cache["map"]
+
+
+def _by_pair(ctx, values):
+    """Equation (ii) values, dw per increasing pair, as (pair, values)."""
+    return [(pair, values[k * ctx.dw:(k + 1) * ctx.dw])
+            for k, pair in enumerate(increasing_tuples(ctx.dg, 2))]
 
 
 def _slice_conditions(ctx):
-    """The conditions on the flat slice coordinates of cocycle_from_slice,
-    one column per coordinate: nabla_2 of the cochain it gives, then the
-    antisymmetry defect of its derived omega1."""
-    cond = _SLICE_CONDITIONS.get(ctx)
-    if cond is not None:
-        return cond
-    total = (ctx.cochain_dim(0, 2, 0) + ctx.cochain_dim(0, 1, 1)
-             + ctx.dv * ctx.dg)
-    rows = []
-    nabla2 = ctx.nabla(2)
-    for k in range(total):
-        u = [Q0] * total
-        u[k] = Q1
-        coc = cocycle_from_slice(ctx, u)
-        col = nabla2.apply(coc.total_vector())
-        rows.append(col + [x for _, defect in coc.omega1_antisymmetry()
-                           for x in defect])
-    cond = Matrix(total, len(rows[0]), rows).transpose() \
-        if rows else Matrix.zero(0, total)
-    _SLICE_CONDITIONS[ctx] = cond
-    return cond
+    """The slice conditions, built once: nabla_2 embed over the (ii) rows."""
+    cache = _SLICES.setdefault(ctx, {})
+    if "conditions" not in cache:
+        embed, antisymmetry, _ = _slice_map(ctx)
+        rows = (ctx.nabla(2) * embed).sparse + antisymmetry.sparse
+        cache["conditions"] = SparseMatrix(len(rows), embed.cols, rows)
+    return cache["conditions"]
 
 
 def cocycle_space_basis(ctx):
@@ -354,15 +370,12 @@ def cocycle_slice_class_count(ctx):
     z_dim = cond.cols - rank(cond)
 
     # the coboundaries in the slice: the rank of nabla_1 from the lambda0
-    # and lambda1 blocks to omega0, alpha and phimap on g, the first
-    # dg * dv values of (1,1,0); row and column order do not change it
-    rows_at = ctx.split(2, list(range(ctx.total_dim(2))))
+    # and lambda1 blocks to the slice positions, in any order
     cols_at = ctx.split(1, list(range(ctx.total_dim(1))))
     lam = set(cols_at.get((0, 1, 0), []) + cols_at.get((0, 0, 1), []))
     nabla1 = ctx.nabla(1)
     rows = [{j: x for j, x in nabla1.sparse[i].items() if j in lam}
-            for i in (rows_at.get((0, 2, 0), []) + rows_at.get((0, 1, 1), [])
-                      + rows_at.get((1, 1, 0), [])[:ctx.dg * ctx.dv])]
+            for i in _slice_map(ctx)[2]]
     return z_dim - rank(SparseMatrix(len(rows), nabla1.cols, rows))
 
 

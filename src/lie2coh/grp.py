@@ -11,8 +11,7 @@ the first term that changes no entry of the sum (a float term t when
 o + t == o, a jet term when no coefficient is left; on a nilpotent jet
 after order + 1 terms) and after ``terms`` terms at most.  The group
 lattice maps are one table, ``_KINDS``: kind -> (pointwise formula,
-(dp, dq, dr) shift of the index), read by ``group_cochain_diff`` and
-``diff_cochain``.
+(dp, dq, dr) shift of the index), read by ``diff_cochain``.
 """
 
 import itertools
@@ -699,15 +698,6 @@ _KINDS = {
     "Delta2q": (_gd_delta2q, (2, 1, -2)),
     "Delta2p": (_gd_delta2p, (1, 2, -2)),
 }
-
-
-def group_cochain_diff(rep, kind, c, gammas, fs):
-    """Evaluate one component differential / difference map of the group
-    lattice at the given point.  The point arity matches the target of
-    the map; derivative-free formulas, evaluated on explicit elements."""
-    if kind not in _KINDS:
-        raise ValueError("unknown kind %r" % (kind,))
-    return _KINDS[kind][0](rep, c, gammas, fs)
 
 
 def diff_cochain(rep, kind, c):

@@ -200,7 +200,7 @@ _SHIFTS = {"deltaR": (0, 1, 0), "delta1": (0, 0, 1), "partial": (1, 0, 0)}
 class LatticeContext:
     """All lattice computations for a fixed (crossed module, 2-rep) pair."""
 
-    def __init__(self, x, rep, check_degree=None):
+    def __init__(self, x, rep):
         if rep.source != x:
             raise ValueError("the 2-representation is over another "
                              "crossed module")
@@ -224,12 +224,6 @@ class LatticeContext:
         self._layouts = {}
         self._mats = {}
         self._nablas = {}
-        if check_degree is not None:
-            for n in range(check_degree + 1):
-                bad = self.nabla_squared_blocks(n)
-                if bad:
-                    raise ValueError("nabla^2 != 0 at degree %d: nonzero "
-                                     "blocks %s" % (n, bad))
 
     # -- structural caches -------------------------------------------------
 
@@ -244,8 +238,7 @@ class LatticeContext:
         return p * self.dg + self.dh
 
     def nerve(self, p):
-        return self._factor(("nerve", p),
-                            lambda: nerve_algebra(self.x, p).underlying)
+        return self._factor(("nerve", p), lambda: nerve_algebra(self.x, p))
 
     def face(self, p, k):
         return face_matrix(self.x, p, k)

@@ -105,7 +105,7 @@ def lie2_arrows(x):
     [(x0,y0),(x1,y1)] = ([x0,x1] + L_{y0}x1 - L_{y1}x0, [y0,y1]).
     """
     assert not validate_crossed_module(x), "invalid crossed module"
-    return nerve_algebra(x, 1).underlying
+    return nerve_algebra(x, 1)
 
 
 def xmod_from_quadruple(h, ideal_indices, v_dim, rho):
@@ -254,26 +254,14 @@ def _independent(vecs, dim):
 # Nerve algebras g_p and the simplicial maps between them.
 # ---------------------------------------------------------------------------
 
-class NerveAlgebra:
-    """g_p = composable p-tuples of arrows, identified with g^p (+) h.
+def nerve_algebra(x, p):
+    """The nerve algebra g_p = composable p-tuples of arrows, identified
+    with g^p (+) h, as a LieAlgebra; its brackets come from the structure
+    constants.
 
     Basis order: x^0-block, ..., x^{p-1}-block, then the y-block.  The
     j-th arrow of (x^0..x^{p-1}; y) is (x^j, y + sum_{k>j} mu(x^k)), and
     the bracket is componentwise in the arrow algebra g (+)_L h.
-    """
-
-    def __init__(self, parent, p, underlying):
-        self.parent = parent
-        self.p = p
-        self.underlying = underlying
-
-    @property
-    def dim(self):
-        return self.underlying.dim
-
-
-def nerve_algebra(x, p):
-    """The nerve algebra g_p, its brackets from the structure constants.
 
     The c-th arrow of a basis vector is sparse: e_k in slot s has arrow
     (e_k, 0) at c = s, (0, mu e_k) at c < s and zero at c > s; e_b in the
@@ -312,7 +300,7 @@ def nerve_algebra(x, p):
                     vec[p * dg + b] = _demote(val)
             if vec:
                 brackets[(i, j)] = [vec.get(k, 0) for k in range(d)]
-    return NerveAlgebra(x, p, LieAlgebra(d, brackets))
+    return LieAlgebra(d, brackets)
 
 
 def face_columns(x, p, k):

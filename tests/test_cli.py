@@ -12,6 +12,7 @@ from lie2coh.cli import main
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 ADJOINT = os.path.join(FIXTURES, "adjoint_aff1.json")
 CENTRAL = os.path.join(FIXTURES, "central_h2.json")
+TWISTED = os.path.join(FIXTURES, "twisted_aff1.json")
 
 
 def load_json(path):
@@ -262,6 +263,55 @@ def test_extension_commands_golden(capsys):
         code, out, _ = run(capsys, args[:1] + [CENTRAL] + args[1:])
         assert code == 0, args
         assert out == expected, args
+
+
+# x = (aff(1) -id-> aff(1)) with its adjoint 2-representation: g != 0,
+# so alpha, phi_g and omega1 are nonzero; bad_alpha changes alpha(e_0; e_1)
+# and breaks equation (ii) among others
+GOLDEN_TWISTED = [
+    (["extend", "--cocycle", "omega0,alpha,phimap"], 0,
+     "extension e1 dim 4, e0 dim 4\n"
+     "e1 bracket [0,1] = ['0', '1', '1', '2']\n"
+     "e1 bracket [0,3] = ['0', '0', '0', '1']\n"
+     "e1 bracket [1,2] = ['0', '0', '0', '-1']\n"
+     "e0 bracket [0,1] = ['0', '1', '2', '1']\n"
+     "e0 bracket [0,3] = ['0', '0', '0', '1']\n"
+     "e0 bracket [1,2] = ['0', '0', '0', '-1']\n"
+     "CHECK cocycle_equations: PASS\n"
+     "CHECK extension_crossed_module: PASS\n"
+     "CHECK extension_rows_exact: PASS\n"),
+    (["extend", "--cocycle", "omega0,bad_alpha,phimap"], 1,
+     "CHECK cocycle_equations: FAIL violated "
+     "['ii', 'iv', 'omega1_definition', 'v', 'vi']\n"),
+    (["split", "--cocycle", "omega0,alpha,phimap", "--perturb", "3"], 0,
+     "omega0 values: ['-1', '0']\n"
+     "alpha values: ['0', '0', '0', '0', '0', '-1', '0', '1']\n"
+     "phimap (g columns): [['2', '1'], ['0', '3']]\n"
+     "CHECK cocycle_equations: PASS\n"
+     "CHECK extracted_cocycle_valid: PASS\n"
+     "CHECK perturbed_splitting_cohomologous: PASS\n"),
+    (["compare", "--left", "omega0,alpha,phimap",
+      "--right", "zero_omega0,zero_alpha,zero_phimap"], 0,
+     "cohomologous: yes\n"
+     "lambda0 = [['1', '-2'], ['0', '0']]\n"
+     "lambda1 = [['2', '-1'], ['1', '1']]\n"
+     "CHECK cocycle_left_valid: PASS\n"
+     "CHECK cocycle_right_valid: PASS\n"
+     "CHECK compare_solved: PASS\n"),
+    (["compare", "--left", "omega0,alpha,phimap",
+      "--right", "omega0,bad_alpha,phimap"], 1,
+     "CHECK cocycle_left_valid: PASS\n"
+     "CHECK cocycle_right_valid: FAIL violated "
+     "['ii', 'iv', 'omega1_definition', 'v', 'vi']\n"),
+]
+
+
+def test_extension_commands_golden_twisted(capsys):
+    """extend, split and compare on a cocycle with alpha, phi_g and omega1
+    nonzero print exactly the pinned lines and exit codes."""
+    for args, want_code, expected in GOLDEN_TWISTED:
+        code, out, _ = run(capsys, args[:1] + [TWISTED] + args[1:])
+        assert (code, out) == (want_code, expected), args
 
 
 def test_missing_cochain_exit_two(capsys):

@@ -1,15 +1,19 @@
 """The extension dictionary: cocycles, round trips, coboundaries, and the
 trivial-coefficient central extension."""
 
+import hashlib
+import os
 from fractions import Fraction
 
-from lie2coh.numeric import Matrix, Q0, Q1
+import pytest
+
+from lie2coh.numeric import Matrix, Q0, Q1, format_rat
 from lie2coh.liealg import LieAlgebra, Representation, _unit
 from lie2coh.lie2 import (CrossedModuleAlg, TwoVectorSpace,
                           validate_crossed_module)
 from lie2coh.tworep import (TwoRep, adjoint_rep, semidirect_2alg,
                             twisted_semidirect)
-from lie2coh.lattice import LatticeContext
+from lie2coh.lattice import LatticeContext, LatticeCochain
 from lie2coh.ext import (TwoCocycle, zero_cocycle, extension_from_cocycle,
                          canonical_splitting, cocycle_from_extension,
                          coboundary_solve, cocycle_space_basis,
@@ -17,6 +21,9 @@ from lie2coh.ext import (TwoCocycle, zero_cocycle, extension_from_cocycle,
                          trivial_coeff_extension, trivial_cocycle_defects,
                          contexts_match, _slice_conditions)
 from lie2coh.samples import rng_from_seed, random_context, random_matrix
+from lie2coh.cli import load_problem
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def central_context():
@@ -513,3 +520,104 @@ def test_eq_iv_violation_reported():
                      [Q0] * ctx.cochain_dim(0, 1, 1),
                      Matrix(1, 1, [[1]]))
     assert [b[0] for b in coc.validate()] == ["iv"]
+
+
+def pointwise_omega1(coc, x0, x1):
+    """omega1(x0, x1) = rho1(x1) phi_g(x0) + alpha(mu x0; x1), evaluated
+    pointwise through rho1_of and LatticeCochain.evaluate: the oracle for
+    the slice map."""
+    ctx = coc.ctx
+    a = ctx.rep.rho1_of(x1).apply(coc.phi_g.apply(x0))
+    b = coc.alpha.evaluate([ctx.x.mu.apply(x0)], [x1])
+    return [p + q for p, q in zip(a, b)]
+
+
+def test_slice_map_matches_pointwise_omega1():
+    """omega1_values, omega1_antisymmetry and total_vector agree with the
+    pointwise evaluation of omega1 on random slices of 60 seeded contexts,
+    among them at least 10 with dim g >= 2 and dim W >= 1."""
+    rng = rng_from_seed(21)
+    rich = 0
+    for _ in range(60):
+        ctx = LatticeContext(*random_context(rng, 2))
+        dg = ctx.dg
+        rich += dg >= 2 and ctx.dw >= 1
+        n = (ctx.cochain_dim(0, 2, 0) + ctx.cochain_dim(0, 1, 1)
+             + ctx.dv * dg)
+        coc = cocycle_from_slice(ctx, [Fraction(rng.randint(-3, 3),
+                                                rng.randint(1, 2))
+                                       for _ in range(n)])
+        e = [_unit(dg, a) for a in range(dg)]
+        space = ctx.space(0, 0, 2)
+        omega1 = [Q0] * space.total_dim
+        defects = []
+        for a, b in space.g_tuples:
+            start = space.block((), (a, b))
+            value = pointwise_omega1(coc, e[a], e[b])
+            omega1[start:start + space.coeff_dim] = value
+            defects.append(((a, b), [s + t for s, t in zip(
+                value, pointwise_omega1(coc, e[b], e[a]))]))
+        assert coc.omega1_values() == omega1
+        assert coc.omega1_antisymmetry() == defects
+        phimap = ctx.block_values((1, 1, 0), coc.phi_g)
+        assert coc.total_vector() == ctx.join(2, {
+            (0, 2, 0): coc.omega0.values, (0, 1, 1): coc.alpha.values,
+            (1, 1, 0): phimap, (0, 0, 2): omega1})
+    assert rich >= 10
+
+
+# SHA-256 of the sorted nonzero entries of the slice conditions, row by
+# row, with values as format_rat strings; taken before the slice map
+SLICE_CONDITIONS_SHA256 = {
+    "bench/problems/adjoint_aff1.json":
+        "5bec60bcfa76547a57e66db35b11fd9d5f4431104509ec950546b2f952258c26",
+    "bench/problems/glphi_proj_adjoint.json":
+        "d1199f187e14a1d7efea7c058ac1899d2c5b4bc03ac2a49a8cd285848b5b59a1",
+    "bench/problems/glphi_zero_adjoint.json":
+        "86f00fc6b3e7aa6138d38d19e8331dcb37762c181e3bdb93c329134f76cdef3a",
+    "bench/problems/heisenberg_g0_adjoint.json":
+        "b0767ba218843fd236d49dbce4c13d9ce34d8bd07a9840a6a113e66483b3fa2a",
+    "tests/fixtures/adjoint_aff1.json":
+        "5bec60bcfa76547a57e66db35b11fd9d5f4431104509ec950546b2f952258c26",
+    "tests/fixtures/central_h2.json":
+        "e1df09d4492f4f50e57c7d2a31e161803bbf5e8df2a90e8863de7bccdfbb8256",
+    "tests/fixtures/twisted_aff1.json":
+        "e83182dd385fc0a76ce59a9240e76a63366f652e471e4f2e11dcae712db2d6ca",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLICE_CONDITIONS_SHA256))
+def test_slice_conditions_pinned_by_hash(name):
+    cond = _slice_conditions(load_problem(os.path.join(ROOT, name)).context())
+    rows = [[(j, format_rat(x)) for j, x in enumerate(row) if x]
+            for row in cond.data]
+    assert hashlib.sha256(repr((cond.rows, cond.cols, rows)).encode()
+                          ).hexdigest() == SLICE_CONDITIONS_SHA256[name]
+
+
+def test_slice_conditions_and_validate_evaluate_nothing(monkeypatch):
+    """Once nabla_2 is built, the slice conditions and validate are read
+    off the slice map: no cochain is evaluated and no rho1 is formed."""
+    from lie2coh import tworep
+    rng = rng_from_seed(22)
+    contexts = [load_problem(os.path.join(
+        ROOT, "tests/fixtures/twisted_aff1.json")).context()]
+    while len(contexts) < 6:
+        ctx = LatticeContext(*random_context(rng, 2))
+        if ctx.dg >= 2 and ctx.dw >= 1:
+            contexts.append(ctx)
+    cocycles = [random_valid_cocycle(LatticeContext(ctx.x, ctx.rep), rng)
+                for ctx in contexts]
+    for ctx in contexts:
+        ctx.nabla(2)
+
+    def refuse(*args):
+        raise AssertionError("evaluated pointwise")
+
+    monkeypatch.setattr(LatticeCochain, "evaluate", refuse)
+    monkeypatch.setattr(tworep.TwoRep, "rho1_of", refuse)
+    for ctx, coc in zip(contexts, cocycles):
+        _slice_conditions(ctx)
+        moved = TwoCocycle(ctx, coc.omega0.values, coc.alpha.values,
+                           coc.phi_g)
+        assert moved.validate() == []

@@ -493,11 +493,6 @@ def test_nabla_collapses_for_trivial_everything():
         assert ctx.total_cohomology(n)[0] == comb(2, n) * 2
 
 
-def test_context_construction_check_degree():
-    ctx = unit_context()
-    LatticeContext(ctx.x, ctx.rep, check_degree=2)
-
-
 def test_corrupted_sign_table_breaks_nabla(monkeypatch):
     """Negative control: flipping the Delta_2 sign back to the uncalibrated
     value makes nabla^2 nonzero, and the offending blocks are named."""

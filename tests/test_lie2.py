@@ -10,7 +10,7 @@ from lie2coh.lie2 import (CrossedModuleAlg, TwoVectorSpace,
                           validate_crossed_module, lie2_arrows,
                           xmod_from_quadruple, structure_report,
                           nerve_algebra, simplicial_maps, face_matrix,
-                          final_target_matrix, gl_phi, NerveAlgebra)
+                          final_target_matrix, gl_phi)
 from lie2coh.samples import rng_from_seed, random_crossed_module
 
 
@@ -158,8 +158,8 @@ def test_structure_report_random():
 
 def test_nerve_levels():
     x = ideal_inclusion_aff1()
-    assert nerve_algebra(x, 0).underlying.brackets == x.h.brackets
-    n1 = nerve_algebra(x, 1).underlying
+    assert nerve_algebra(x, 0).brackets == x.h.brackets
+    n1 = nerve_algebra(x, 1)
     assert n1.brackets == lie2_arrows(x).brackets
     x0 = trivial_g_xmod(LieAlgebra.abelian(2))
     n2 = nerve_algebra(x0, 2)
@@ -168,7 +168,7 @@ def test_nerve_levels():
     for _ in range(10):
         x = random_crossed_module(rng, 2)
         for p in range(4):
-            assert validate_lie_algebra(nerve_algebra(x, p).underlying) == []
+            assert validate_lie_algebra(nerve_algebra(x, p)) == []
 
 
 def dense_nerve_algebra(x, p):
@@ -209,7 +209,7 @@ def dense_nerve_algebra(x, p):
             vec = bracket(ei, _unit(d, j))
             if any(c != 0 for c in vec):
                 brackets[(i, j)] = vec
-    return NerveAlgebra(x, p, LieAlgebra(d, brackets))
+    return LieAlgebra(d, brackets)
 
 
 def test_nerve_algebra_matches_dense_formula():
@@ -218,8 +218,8 @@ def test_nerve_algebra_matches_dense_formula():
     xmods.append(trivial_g_xmod(LieAlgebra.heisenberg3()))
     for x in xmods:
         for p in range(5):
-            got = nerve_algebra(x, p).underlying
-            want = dense_nerve_algebra(x, p).underlying
+            got = nerve_algebra(x, p)
+            want = dense_nerve_algebra(x, p)
             assert got.dim == want.dim
             assert got.brackets == want.brackets, (p, x)
 
@@ -253,8 +253,8 @@ def test_faces_are_homomorphisms():
     for _ in range(6):
         x = random_crossed_module(rng, 2)
         for p in range(3):
-            src = nerve_algebra(x, p + 1).underlying
-            tgt = nerve_algebra(x, p).underlying
+            src = nerve_algebra(x, p + 1)
+            tgt = nerve_algebra(x, p)
             for k in range(p + 2):
                 f = face_matrix(x, p, k)
                 for i in range(src.dim):
