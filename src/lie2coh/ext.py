@@ -4,8 +4,8 @@ trivial-coefficient central-extension construction."""
 
 import weakref
 
-from .numeric import (LinearSolver, Matrix, SparseMatrix, Q0, rank,
-                      rank_and_kernel, solve_linear, vectors_matrix,
+from .numeric import (LinearSolver, Matrix, SparseMatrix, Q0, cohomology,
+                      rank, rank_and_kernel, solve_linear, vectors_matrix,
                       increasing_tuples, _add_multiple, _nonzero)
 from .liealg import Representation, _unit
 from .lie2 import TwoVectorSpace, validate_crossed_module
@@ -119,20 +119,10 @@ class ExtensionResult:
 
     def rows_exact(self):
         """include injective, project surjective, ker(project) = im(include)."""
-        for inc, proj in ((self.include_w, self.project_g),
-                          (self.include_v, self.project_h)):
-            if rank(inc) != inc.cols:
-                return False
-            if rank(proj) != proj.rows:
-                return False
-            _, ker = rank_and_kernel(proj)
-            img = [inc.col(j) for j in range(inc.cols)]
-            if len(ker) != len(img):
-                return False
-            stacked = vectors_matrix(img + ker, dim=inc.rows)
-            if rank(stacked) != len(img):
-                return False
-        return True
+        return all(rank(inc) == inc.cols and rank(proj) == proj.rows
+                   and (proj * inc).is_zero() and cohomology(inc, proj)[0] == 0
+                   for inc, proj in ((self.include_w, self.project_g),
+                                     (self.include_v, self.project_h)))
 
 
 def extension_from_cocycle(c):

@@ -1,6 +1,6 @@
 """Bounded cochain complexes over Q, their cohomology and mapping cones."""
 
-from .numeric import Matrix, rank, rank_and_kernel, vectors_matrix
+from .numeric import Matrix, cohomology, rank, vectors_matrix
 
 
 class FinComplex:
@@ -39,15 +39,6 @@ class FinComplex:
 
     def degrees(self):
         return range(self.lo, self.hi + 1)
-
-    def cocycles(self, n):
-        """Basis of ker d_n."""
-        return rank_and_kernel(self.d(n))[1]
-
-    def coboundaries(self, n):
-        """Spanning set of im d_{n-1} (columns of the differential)."""
-        d = self.d(n - 1)
-        return [d.col(j) for j in range(d.cols)]
 
     def cohomology_dim(self, n):
         if self.dim(n) == 0:
@@ -105,29 +96,19 @@ def mapping_cone(f):
 
 
 def induced_map_iso_injective(f, n):
-    """(iso, injective) flags of H^n(f): H^n(A) -> H^n(B), by brute force."""
+    """(iso, injective) flags of H^n(f): H^n(A) -> H^n(B).
+
+    f maps representatives of H^n(A) to cocycles of B, and the rank of
+    these modulo im d_B is the rank of H^n(f): it is injective iff that
+    rank is dim H^n(A), and an iso iff it is also dim H^n(B)."""
     a, b = f.source, f.target
-    za = rank_and_kernel(a.d(n))[1]                      # cocycles of A
-    ba = rank(a.d(n - 1))                                # dim of A-coboundaries
-    zb = rank_and_kernel(b.d(n))[1]
+    dim_ha, reps = cohomology(a.d(n - 1), a.d(n))
     db = b.d(n - 1)
-    dim_hb = len(zb) - rank(db)
     fn = f.component(n)
-    fza = [fn.apply(v) for v in za]
-    db_cols = [db.col(j) for j in range(db.cols)]
-    rank_b = rank(vectors_matrix(db_cols, dim=b.dim(n)))
-    image_dim = rank(vectors_matrix(db_cols + fza, dim=b.dim(n))) - rank_b
-    # kernel of the induced map: cocycles z with f(z) exact, modulo im d_A
-    if za:
-        aug = vectors_matrix(fza, dim=b.dim(n)).hstack(
-            vectors_matrix(db_cols, dim=b.dim(n)))
-        hit = rank(aug) - rank_b          # rank of f(Z_A) modulo im d_B
-        ker_induced = (len(za) - hit) - ba
-    else:
-        ker_induced = 0
-    injective = ker_induced == 0
-    surjective = image_dim == dim_hb
-    return (injective and surjective, injective)
+    images = vectors_matrix([fn.apply(v) for v in reps], dim=b.dim(n))
+    hit = rank(db.hstack(images)) - rank(db)
+    injective = hit == dim_ha
+    return injective and hit == cohomology(db, b.d(n))[0], injective
 
 
 def cone_vanishing_equiv(f, k):

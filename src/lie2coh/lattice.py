@@ -54,8 +54,9 @@ shared by every p.
 Components and each nabla_n are ``SparseMatrix`` rows of their nonzeros:
 ``nabla`` copies each component's rows to its block offsets,
 ``nabla_squared_blocks`` multiplies the sparse rows, and
-``total_cohomology`` eliminates them, so no dense nabla is built on the
-way to H^n.  Their ``data`` is a dense view, built only when read.
+``total_cohomology`` hands nabla_{n-1} and nabla_n to
+``numeric.cohomology``, so no dense nabla or kernel is built on the way to
+H^n.  Their ``data`` is a dense view, built only when read.
 
 Trivial coefficients are no separate complex: they are the unit
 2-representation (W = 0, V = Q, every action zero) restricted to its
@@ -69,9 +70,8 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations
 
-from .numeric import (Matrix, SparseMatrix, Space, Q0, rank, rank_and_kernel,
-                      increasing_tuples, _demote, _echelon, _nonzero,
-                      _row_copies)
+from .numeric import (Matrix, SparseMatrix, Space, Q0, cohomology, rank,
+                      increasing_tuples, _demote, _nonzero)
 from .liealg import _sort_sign, ce_differential, sparse_columns
 from .lie2 import (TwoVectorSpace, nerve_algebra, face_columns, face_matrix,
                    final_target_matrix, validate_crossed_module)
@@ -85,10 +85,12 @@ def _delta_sign(k, q, r):
     return -1 if ((k - 1) * q + r + k // 2) % 2 else 1
 
 
-# Largest nabla_n, in rows x cols, that nabla() builds.  nabla_n is stored
-# sparse, but its dense view (``data``) has this many cells, 160 MB of
-# list slots before any entry object.  The benchmark builds at most 0.9M
-# cells; the tests build a 13.6M-cell nabla_3 and never view it dense.
+# Largest nabla_n, in rows x cols, that nabla() builds: the only bound
+# known before building.  It bounds the worst-case fill-in of eliminating
+# nabla_n and the dense view (``data``) that the ladder's check reads, 160
+# MB of list slots before any entry object; no kernel is dense any more.
+# The benchmark builds at most 0.9M cells; the tests build a 13.6M-cell
+# nabla_3 and never view it dense.
 MAX_NABLA_CELLS = 20_000_000
 
 
@@ -578,29 +580,12 @@ class LatticeContext:
         return sorted(hit)
 
     def total_cohomology(self, n):
-        """(dim H^n, representative cocycle vectors).
-
-        One echelon of the columns [im nabla_{n-1} | ker nabla_n]: its
-        pivot columns among the kernel vectors are the representatives,
-        the kernel vectors (in kernel order) independent of the image and
-        of the ones before them."""
+        """(dim H^n, representative cocycle vectors), from
+        ``numeric.cohomology`` of nabla_{n-1} and nabla_n."""
         assert n >= 0
         dn = self.nabla(n)
-        _, kernel = rank_and_kernel(dn)
-        # row i of [im | ker] is row i of nabla_{n-1}, then the kernel's
-        # i-th coordinates
-        if n:
-            image = self.nabla(n - 1)
-            rows, width = _row_copies(image), image.cols
-        else:
-            rows, width = [{} for _ in range(dn.cols)], 0
-        for k, v in enumerate(kernel):
-            for i, x in enumerate(v):
-                if x:
-                    rows[i][width + k] = x
-        pivots = _echelon(rows)
-        reps = [kernel[c - width] for c in sorted(pivots) if c >= width]
-        return len(reps), reps
+        prev = self.nabla(n - 1) if n else Matrix.zero(dn.cols, 0)
+        return cohomology(prev, dn)
 
     # -- low-degree interpretations ------------------------------------------
 

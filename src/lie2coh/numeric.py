@@ -6,6 +6,8 @@ Ranks, kernels and solutions come from one sparse exact elimination:
 rows are {column: value} dicts, brought to the reduced row echelon form,
 which is unique, so every result read off it is independent of the
 elimination order and cohomology dimensions come out as honest integers.
+``cohomology`` forms ker/im with representatives for the lattice,
+``homalg`` and ``ext``, and keeps the kernel sparse.
 Jets carry float coefficients and exist only to extract derivatives of
 matrix-group formulas exactly (no finite differences).
 
@@ -327,20 +329,51 @@ def _rref(rows):
     return pivots
 
 
-def rank_and_kernel(m):
-    """Rank of m and a basis of its right kernel (list of vectors), one
-    vector per free column of the reduced echelon form."""
+def sparse_kernel(m):
+    """Rank of m and a basis of its right kernel as {column: value}
+    vectors, one per free column of the reduced echelon form, in order."""
     reduced = _rref(_row_copies(m))
-    basis = {}                       # free column -> its vector, in order
-    for fc in range(m.cols):
-        if fc not in reduced:
-            basis[fc] = [0] * m.cols
-            basis[fc][fc] = 1
+    basis = {fc: {fc: 1} for fc in range(m.cols) if fc not in reduced}
     for pc, row in reduced.items():
         for j, x in row.items():
             if j != pc:
                 basis[j][pc] = -x
     return len(reduced), list(basis.values())
+
+
+def _dense(vec, n):
+    out = [0] * n
+    for i, x in vec.items():
+        out[i] = x
+    return out
+
+
+def rank_and_kernel(m):
+    """Rank of m and a basis of its right kernel (list of vectors), one
+    vector per free column of the reduced echelon form."""
+    r, kernel = sparse_kernel(m)
+    return r, [_dense(v, m.cols) for v in kernel]
+
+
+def cohomology(d_prev, d_n):
+    """(dim H^n, representatives) of C^{n-1} -d_prev-> C^n -d_n-> C^{n+1},
+    which must be a complex: d_n d_prev = 0.
+
+    One echelon of the columns [im d_prev | ker d_n], the kernel sparse:
+    its pivot columns among the kernel vectors are the representatives,
+    the kernel vectors (in kernel order) independent of the image and of
+    the ones before them.  Only these are made dense."""
+    assert d_prev.rows == d_n.cols, (d_prev.rows, d_n.cols)
+    _, kernel = sparse_kernel(d_n)
+    # row i of [im | ker]: row i of d_prev, then the kernel's i-th entries
+    rows, width = _row_copies(d_prev), d_prev.cols
+    for k, v in enumerate(kernel):
+        for i, x in v.items():
+            rows[i][width + k] = x
+    pivots = _echelon(rows)
+    reps = [_dense(kernel[c - width], d_n.cols)
+            for c in sorted(pivots) if c >= width]
+    return len(reps), reps
 
 
 def rank(m):
