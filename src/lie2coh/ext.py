@@ -92,9 +92,7 @@ def _same_two_rep(a, b):
     """Equal crossed module data and equal 2-representation matrices."""
     xa, xb = a.source, b.source
     return ((xa is xb
-             or (xa.g.dim == xb.g.dim and xa.h.dim == xb.h.dim
-                 and xa.g.brackets == xb.g.brackets
-                 and xa.h.brackets == xb.h.brackets
+             or (xa.g == xb.g and xa.h == xb.h
                  and xa.mu == xb.mu
                  and xa.action.mats == xb.action.mats))
             and a.target.phi == b.target.phi

@@ -9,8 +9,8 @@ elements are explicit matrices, GL(phi)-pairs, or additive vectors.
 ``mexp`` and ``glphi1_exp`` sum one series, ``_series``, which stops at
 the first term that changes no entry of the sum (a float term t when
 o + t == o, a jet term when no coefficient is left; on a nilpotent jet
-after order + 1 terms) and after ``terms`` terms at most.  The group
-lattice maps are one table, ``_KINDS``: kind -> (pointwise formula,
+after order + 1 terms) and after ``_SERIES_TERMS`` terms at most.  The
+group lattice maps are one table, ``_KINDS``: kind -> (pointwise formula,
 (dp, dq, dr) shift of the index), read by ``diff_cochain``.
 """
 
@@ -103,15 +103,19 @@ def _absorbed(o, t):
     return t == 0.0 or o + t == o
 
 
-def _series(x, shift, terms):
+_SERIES_TERMS = 30
+
+
+def _series(x, shift):
     """sum_k x^k shift! / (k + shift)! for a square x, identity first.
 
     Term k is term k-1 times x / (k + shift); the loop stops at the first
-    term that changes no entry of the sum, after ``terms`` terms at most.
+    term that changes no entry of the sum, after ``_SERIES_TERMS`` terms at
+    most.
     """
     out = meye(len(x))
     term = meye(len(x))
-    for k in range(1, terms + 1):
+    for k in range(1, _SERIES_TERMS + 1):
         term = mscale(mmul(term, x), 1.0 / (k + shift))
         if all(_absorbed(o, t) for row_o, row_t in zip(out, term)
                for o, t in zip(row_o, row_t)):
@@ -120,11 +124,11 @@ def _series(x, shift, terms):
     return out
 
 
-def mexp(a, terms=30):
-    """Matrix exponential by plain series (at most ``terms`` terms); fine
+def mexp(a):
+    """Matrix exponential by plain series (at most ``_SERIES_TERMS``); fine
     at desk-scale norms and exact on jet matrices whose entries have zero
     constant part."""
-    return _series(a, 0, terms)
+    return _series(a, 0)
 
 
 def vmax(v):
@@ -188,9 +192,9 @@ class GroupXModData:
         return out
 
 
-def glphi1_exp(a, phi, terms=30):
+def glphi1_exp(a, phi):
     """exp of GL(phi)_1: A sum_n (phi A)^n / (n+1)!."""
-    return mmul(a, _series(mmul(phi, a), 1, terms))
+    return mmul(a, _series(mmul(phi, a), 1))
 
 
 def glphi_group(v):
@@ -1072,7 +1076,7 @@ def scenario_exp(dims=(1, 1), trials=10, seed=0, tol=1e-9):
         rng = random.Random(seed)
         for _ in range(trials):
             a = 2 * rng.random() - 1
-            got = glphi1_exp([[a]], [[1.0]], terms=30)[0][0]
+            got = glphi1_exp([[a]], [[1.0]])[0][0]
             worst = max(worst, abs(got - (math.exp(a) - 1)))
         rows.append(("exp_scalar_vs_closed_form", worst, worst <= 1e-12))
     v = _phi_for_dims(dims[0], dims[1], seed)

@@ -366,7 +366,7 @@ class LatticeContext:
             der = g_part * p + h_part
             terms += [(-1, ins[e], der[e], None) for e in ins if der[e]]
         ce = self._factor(("gp_ce", p, q), lambda: _ce_table(
-            tgt.gp_tuples, src.gp_pos, self.nerve(p)._sparse))
+            tgt.gp_tuples, src.gp_pos, self.nerve(p).structure))
         if ce:
             terms.append((1, ce, ident, None))
         return terms
@@ -386,7 +386,7 @@ class LatticeContext:
         ident = self._identity(len(src.gp_tuples))
         terms = [(1, ident, ins[j], coeff[j]) for j in ins if coeff[j]]
         ce = self._factor(("g_ce", r), lambda: _ce_table(
-            tgt.g_tuples, src.g_pos, self.x.g._sparse))
+            tgt.g_tuples, src.g_pos, self.x.g.structure))
         if ce:
             terms.append((1, ident, ce, None))
         return terms
@@ -623,7 +623,9 @@ class LatticeContext:
         lam0 = [range((dg + b) * width + dw, (dg + b + 1) * width)
                 for b in range(self.dh)]
         unknowns = [c for cols in lam1 + lam0 for c in cols]
-        rows = [{c: row[c] for c in unknowns} for row in d.data]
+        chosen = set(unknowns)
+        rows = [{c: x for c, x in row.items() if c in chosen}
+                for row in d.sparse]
         # phi lambda1 = lambda0 mu, per basis vector e_j of g
         for j in range(dg):
             mu_j = self.x.mu.col(j)

@@ -74,7 +74,7 @@ def validate_crossed_module(x):
         for i in range(dg):
             for j in range(i + 1, dg):
                 # L_b [e_i, e_j] - [L_b e_i, e_j] - [e_i, L_b e_j]
-                acc = apply_into({}, lb, x.g._sparse.get((i, j), ()))
+                acc = apply_into({}, lb, x.g.structure.get((i, j), ()))
                 x.g.bracket_into(lb[i], [(j, 1)], acc, -1)
                 x.g.bracket_into([(i, 1)], lb[j], acc, -1)
                 if any(acc.values()):
@@ -121,31 +121,30 @@ def xmod_from_quadruple(h, ideal_indices, v_dim, rho):
     assert all(0 <= i < h.dim for i in ideal_indices)
     assert isinstance(rho, Representation) and rho.algebra == h
     assert rho.space_dim == v_dim
-    span = [_unit(h.dim, i) for i in ideal_indices]
+    # I is spanned by unit vectors, so a vector lies in I exactly when it
+    # is zero off ideal_indices, and its coordinates are its entries there
+    pos = {i: k for k, i in enumerate(ideal_indices)}
+    coords = {}          # (b, k) -> [e_b, e_{ideal_indices[k]}] on I
     for b in range(h.dim):
-        for i in ideal_indices:
-            w = h.bracket(_unit(h.dim, b), _unit(h.dim, i))
-            if not in_span(span, w):
+        for k, i in enumerate(ideal_indices):
+            w = h.bracket_into([(b, 1)], [(i, 1)], {})
+            if any(c for t, c in w.items() if t not in pos):
                 raise ValueError("selected span is not an ideal: [e%d, e%d]"
                                  % (b, i))
+            coords[b, k] = [(v_dim + pos[t], _demote(c))
+                            for t, c in sorted(w.items()) if c]
     for i in ideal_indices:
         if any(x != 0 for row in rho.mats[i].data for x in row):
             raise ValueError("rho does not descend to h/I: nonzero on e%d" % i)
 
     dg = v_dim + len(ideal_indices)
     # bracket on g = V (+) I: V abelian central, I keeps the h-bracket
-    brackets = {}
+    structure = {}
     for a, ia in enumerate(ideal_indices):
         for b in range(a + 1, len(ideal_indices)):
-            ib = ideal_indices[b]
-            w = h.bracket(_unit(h.dim, ia), _unit(h.dim, ib))
-            coeffs = _ideal_coords(h, span, ideal_indices, w)
-            vec = [Q0] * dg
-            for k, c in enumerate(coeffs):
-                vec[v_dim + k] = c
-            if any(c != 0 for c in vec):
-                brackets[(v_dim + a, v_dim + b)] = vec
-    g = LieAlgebra(dg, brackets)
+            if coords[ia, b]:
+                structure[(v_dim + a, v_dim + b)] = coords[ia, b]
+    g = LieAlgebra._of(dg, structure)
 
     mu_rows = [[Q0] * dg for _ in range(h.dim)]
     for k, i in enumerate(ideal_indices):
@@ -158,25 +157,14 @@ def xmod_from_quadruple(h, ideal_indices, v_dim, rho):
         for a in range(v_dim):
             for c in range(v_dim):
                 m.data[a][c] = rho.mats[b].data[a][c]
-        for k, i in enumerate(ideal_indices):
-            w = h.bracket(_unit(h.dim, b), _unit(h.dim, i))
-            coeffs = _ideal_coords(h, span, ideal_indices, w)
-            for kk, c in enumerate(coeffs):
-                m.data[v_dim + kk][v_dim + k] = c
+        for k in range(len(ideal_indices)):
+            for t, c in coords[b, k]:
+                m.data[t][v_dim + k] = c
         mats.append(m)
     action = Representation(h, dg, mats)
     x = CrossedModuleAlg(g, h, mu, action)
     assert not validate_crossed_module(x), "quadruple produced invalid data"
     return x
-
-
-def _ideal_coords(h, span, ideal_indices, w):
-    if not ideal_indices:
-        assert all(x == 0 for x in w)
-        return []
-    sol = solve_linear(vectors_matrix(span), w)
-    assert sol is not None
-    return sol
 
 
 def structure_report(x):
@@ -281,7 +269,7 @@ def nerve_algebra(x, p):
     arrows += [[((), ((b, 1),))] * p for b in range(dh)]
     ys = [()] * (p * dg) + [((b, 1),) for b in range(dh)]
 
-    brackets = {}
+    structure = {}
     for i in range(d):
         for j in range(i + 1, d):
             vec = {}
@@ -299,8 +287,8 @@ def nerve_algebra(x, p):
                 if val:
                     vec[p * dg + b] = _demote(val)
             if vec:
-                brackets[(i, j)] = [vec.get(k, 0) for k in range(d)]
-    return LieAlgebra(d, brackets)
+                structure[(i, j)] = sorted(vec.items())
+    return LieAlgebra._of(d, structure)
 
 
 def face_columns(x, p, k):
@@ -418,7 +406,7 @@ def gl_phi(v):
                 if vec[base + i * n + j]} for i in range(n)]
               for base, n in ((0, dw), (nf, dv))]
              for vec in kernel]
-    h_brackets = {}
+    h_structure = {}
     for a in range(dh):
         for b in range(a + 1, dh):
             w = [0] * unknowns
@@ -430,26 +418,22 @@ def gl_phi(v):
                     for k, p in y[i].items():
                         for j, q in x[k].items():
                             w[base + i * n + j] -= p * q
-            vec = h_coords(w)
-            if any(vec):
-                h_brackets[(a, b)] = vec
-    h = LieAlgebra(dh, h_brackets)
+            vec = [(c, y) for c, y in enumerate(h_coords(w)) if y]
+            if vec:
+                h_structure[(a, b)] = vec
+    h = LieAlgebra._of(dh, h_structure)
 
     dg = dw * dv
-    g_brackets = {}
+    g_structure = {}
     for a in range(dg):
         i, j = divmod(a, dv)
         for b in range(a + 1, dg):
             k, l = divmod(b, dv)
             p, q = phi[j][k], phi[l][i]
             if p or q:
-                vec = [0] * dg
-                if p:
-                    vec[i * dv + l] = p
-                if q:
-                    vec[k * dv + j] = -q
-                g_brackets[(a, b)] = vec
-    g = LieAlgebra(dg, g_brackets)
+                g_structure[(a, b)] = sorted(
+                    t for t in ((i * dv + l, p), (k * dv + j, -q)) if t[1])
+    g = LieAlgebra._of(dg, g_structure)
 
     mu_cols = []
     for i in range(dw):

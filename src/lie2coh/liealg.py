@@ -1,31 +1,41 @@
 """Finite-dimensional Lie algebras by structure constants, representations,
 and the Chevalley-Eilenberg differential with coefficients."""
 
-from .numeric import (Matrix, Q0, Q1, rat, increasing_tuples,
-                      linear_combination, vectors_matrix)
+from .numeric import (Matrix, SparseMatrix, Q0, Q1, rat, increasing_tuples,
+                      linear_combination, vectors_matrix, _nonzero,
+                      _sparse_rows)
 
 
 class LieAlgebra:
     """Lie algebra presented by structure constants on a fixed basis.
 
-    ``brackets`` maps pairs (i, j) with i < j to the coefficient vector of
-    [e_i, e_j]; antisymmetry is implicit and [x, x] = 0 by construction.
+    ``structure`` maps pairs (i, j) with i < j to the nonzero coefficients
+    of [e_i, e_j] as a list of (k, c) in increasing k; a zero bracket has
+    no entry.  Antisymmetry is implicit and [x, x] = 0 by construction.
     The Jacobi identity is *not* enforced here; run validate_lie_algebra.
     """
 
     def __init__(self, dim, brackets=None):
+        """From ``brackets``: (i, j) with i < j -> the coefficient vector
+        of [e_i, e_j], checked and read into ``structure``."""
         self.dim = dim
-        self.brackets = {}
-        self._sparse = {}
-        if brackets:
-            for (i, j), vec in brackets.items():
-                assert 0 <= i < j < dim
-                vec = [x if isinstance(x, (int,)) else rat(x) for x in vec]
-                assert len(vec) == dim
-                if any(x != 0 for x in vec):
-                    self.brackets[(i, j)] = vec
-                    self._sparse[(i, j)] = [(k, c) for k, c in enumerate(vec)
-                                            if c != 0]
+        self.structure = {}
+        for (i, j), vec in (brackets or {}).items():
+            assert 0 <= i < j < dim
+            vec = [x if isinstance(x, int) else rat(x) for x in vec]
+            assert len(vec) == dim
+            nonzero = [(k, c) for k, c in enumerate(vec) if c != 0]
+            if nonzero:
+                self.structure[(i, j)] = nonzero
+
+    @classmethod
+    def _of(cls, dim, structure):
+        """An algebra on structure constants that the library built, in
+        the form of ``structure``: no copy and no checks."""
+        g = cls.__new__(cls)
+        g.dim = dim
+        g.structure = structure
+        return g
 
     @staticmethod
     def abelian(dim):
@@ -48,47 +58,42 @@ class LieAlgebra:
                               (0, 2): [0, 0, -2],
                               (1, 2): [1, 0, 0]})
 
+    @property
+    def brackets(self):
+        """Dense view of ``structure``: (i, j) -> the coefficient vector of
+        [e_i, e_j], for the nonzero brackets with i < j."""
+        return {key: self._dense(vec) for key, vec in self.structure.items()}
+
     def __eq__(self, other):
         return (isinstance(other, LieAlgebra) and self.dim == other.dim
-                and self.brackets == other.brackets)
+                and self.structure == other.structure)
 
     def __hash__(self):
         return hash((self.dim, tuple(sorted(
-            (k, tuple(v)) for k, v in self.brackets.items()))))
+            (k, tuple(v)) for k, v in self.structure.items()))))
+
+    def _dense(self, nonzero):
+        out = [0] * self.dim
+        for k, c in nonzero:
+            out[k] = c
+        return out
 
     def basis_bracket(self, i, j):
-        if i == j:
-            return [0] * self.dim
-        if i < j:
-            return list(self.brackets.get((i, j), [0] * self.dim))
-        return [-x for x in self.brackets.get((j, i), [0] * self.dim)]
+        return self._dense(self.bracket_into([(i, 1)], [(j, 1)], {}).items())
 
     def bracket(self, u, v):
         """Bracket of coefficient vectors, extended bilinearly."""
-        out = [0] * self.dim
-        nz_u = [(i, c) for i, c in enumerate(u) if c != 0]
-        nz_v = [(j, c) for j, c in enumerate(v) if c != 0]
-        if not nz_u or not nz_v:
-            return out
-        sparse = self._sparse
-        for i, cu in nz_u:
-            for j, cv in nz_v:
-                if i == j:
-                    continue
-                vec = sparse.get((i, j) if i < j else (j, i))
-                if vec is None:
-                    continue
-                coeff = cu * cv if i < j else -cu * cv
-                for k, c in vec:
-                    out[k] += coeff * c
-        return out
+        return self._dense(self.bracket_into(
+            [(i, c) for i, c in enumerate(u) if c != 0],
+            [(j, c) for j, c in enumerate(v) if c != 0], {}).items())
 
     def bracket_into(self, u, v, out, scale=1):
         """out += scale * [u, v]; u, v are lists of (index, coefficient)."""
-        sparse = self._sparse
+        structure = self.structure
         for i, cu in u:
             for j, cv in v:
-                vec = sparse.get((i, j) if i < j else (j, i)) if i != j else None
+                vec = structure.get((i, j) if i < j else (j, i)) \
+                    if i != j else None
                 if vec is not None:
                     coeff = scale * cu * cv if i < j else -scale * cu * cv
                     for k, c in vec:
@@ -105,13 +110,14 @@ class LieAlgebra:
         tinv = _invert(t)
         d = self.dim
         cols = t.columns()
-        brackets = {}
+        structure = {}
         for i in range(d):
             for j in range(i + 1, d):
                 w = tinv.apply(self.bracket(cols[i], cols[j]))
-                if any(x != 0 for x in w):
-                    brackets[(i, j)] = w
-        return LieAlgebra(d, brackets)
+                nonzero = [(k, x) for k, x in enumerate(w) if x != 0]
+                if nonzero:
+                    structure[(i, j)] = nonzero
+        return LieAlgebra._of(d, structure)
 
 
 def _unit(dim, j):
@@ -203,7 +209,7 @@ def validate_representation(rep):
         for j in range(i + 1, g.dim):
             for col in range(rep.space_dim):
                 acc = {}
-                for k, c in g._sparse.get((i, j), ()):
+                for k, c in g.structure.get((i, j), ()):
                     apply_into(acc, cols[k], [(col, c)])
                 apply_into(acc, cols[i], cols[j][col], -1)
                 apply_into(acc, cols[j], cols[i][col])
@@ -214,7 +220,8 @@ def validate_representation(rep):
 
 
 def ce_differential(rep, q):
-    """Matrix of d: Lambda^q g* (x) V -> Lambda^{q+1} g* (x) V.
+    """Matrix of d: Lambda^q g* (x) V -> Lambda^{q+1} g* (x) V, as sparse
+    rows.
 
     Basis: strictly increasing index tuples in lex order, tensor the
     standard basis of V.  (d w)(a_0..a_q) = sum_j (-1)^j rho(a_j) w(a(j))
@@ -225,53 +232,28 @@ def ce_differential(rep, q):
     src = increasing_tuples(g.dim, q)
     tgt = increasing_tuples(g.dim, q + 1)
     src_pos = {t: k for k, t in enumerate(src)}
-    out = Matrix.zero(len(tgt) * dv, len(src) * dv)
-
-    def add_eval(row_block, args, coeff_matrix, sign):
-        # args: one generic vector (position gpos) among basis indices.
-        gpos, vec, rest = args
-        for idx, c in enumerate(vec):
-            if c == 0:
-                continue
-            tup = rest[:gpos] + (idx,) + rest[gpos:]
-            s, sorted_tup = _sort_sign(tup)
-            if s == 0:
-                continue
-            col_block = src_pos[sorted_tup]
-            val = c * sign * s
-            if coeff_matrix is None:
-                for a in range(dv):
-                    out.data[row_block * dv + a][col_block * dv + a] += val
-            else:
-                for a in range(dv):
-                    for b in range(dv):
-                        x = coeff_matrix.data[a][b]
-                        if x != 0:
-                            out.data[row_block * dv + a][col_block * dv + b] \
-                                += val * x
-
-    for row_block, tup in enumerate(tgt):
+    mat_rows = [_sparse_rows(m.data) for m in rep.mats]
+    rows = []
+    for tup in tgt:
+        block = [{} for _ in range(dv)]
         for j in range(q + 1):
-            rest = tup[:j] + tup[j + 1:]
-            if rest in src_pos:
-                mat = rep.mats[tup[j]]
-                col_block = src_pos[rest]
-                sign = -1 if j % 2 else 1
-                for a in range(dv):
-                    for b in range(dv):
-                        x = mat.data[a][b]
-                        if x != 0:
-                            out.data[row_block * dv + a][col_block * dv + b] \
-                                += sign * x
+            base = src_pos[tup[:j] + tup[j + 1:]] * dv
+            sign = -1 if j % 2 else 1
+            for out, mat_row in zip(block, mat_rows[tup[j]]):
+                for b, x in mat_row.items():
+                    out[base + b] = out.get(base + b, 0) + sign * x
         for m in range(q + 1):
             for n in range(m + 1, q + 1):
-                br = g.basis_bracket(tup[m], tup[n])
-                if all(x == 0 for x in br):
-                    continue
-                rest = tuple(tup[t] for t in range(q + 1) if t not in (m, n))
+                rest = tup[:m] + tup[m + 1:n] + tup[n + 1:]
                 sign = -1 if (m + n) % 2 else 1
-                add_eval(row_block, (0, br, rest), None, sign)
-    return out
+                for k, c in g.structure.get((tup[m], tup[n]), ()):
+                    s, sorted_tup = _sort_sign((k,) + rest)
+                    if s:
+                        base = src_pos[sorted_tup] * dv
+                        for a, out in enumerate(block):
+                            out[base + a] = out.get(base + a, 0) + sign * s * c
+        rows.extend(_nonzero(row) for row in block)
+    return SparseMatrix(len(tgt) * dv, len(src) * dv, rows)
 
 
 def _sort_sign(tup):

@@ -61,33 +61,23 @@ def random_lie_algebra(rng, dim):
 
 
 def _direct_sum(a, b):
-    dim = a.dim + b.dim
-    brackets = {}
-    for (i, j), vec in a.brackets.items():
-        brackets[(i, j)] = list(vec) + [Q0] * b.dim
-    for (i, j), vec in b.brackets.items():
-        brackets[(a.dim + i, a.dim + j)] = [Q0] * a.dim + list(vec)
-    return LieAlgebra(dim, brackets)
+    structure = dict(a.structure)
+    for (i, j), vec in b.structure.items():
+        structure[(a.dim + i, a.dim + j)] = [(a.dim + k, c) for k, c in vec]
+    return LieAlgebra._of(a.dim + b.dim, structure)
 
 
 def _ideal_index_choices(h):
-    """Subsets of basis indices spanning an ideal of h."""
-    from .numeric import in_span
+    """Subsets of basis indices spanning an ideal of h: those off which
+    the bracket of every basis vector with a member is zero."""
+    from itertools import combinations
     out = [()]
     for size in range(1, h.dim + 1):
-        from itertools import combinations
         for subset in combinations(range(h.dim), size):
-            span = [_unit(h.dim, i) for i in subset]
-            ok = True
-            for b in range(h.dim):
-                for i in subset:
-                    w = h.bracket(_unit(h.dim, b), _unit(h.dim, i))
-                    if not in_span(span, w):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            if not any(c and t not in subset
+                       for b in range(h.dim) for i in subset
+                       for t, c in h.bracket_into([(b, 1)], [(i, 1)],
+                                                  {}).items()):
                 out.append(subset)
     return out
 

@@ -82,7 +82,7 @@ def validate_two_rep(r):
         for b in range(a + 1, dg):
             # rho1([e_a, e_b]) - rho1(e_a) phi rho1(e_b)
             # + rho1(e_b) phi rho1(e_a)
-            br = x.g._sparse.get((a, b), ())
+            br = x.g.structure.get((a, b), ())
             check("rho1_homomorphism", (a, b), dv, lambda c: apply_into(
                 apply_into(_combination_column(r1, br, c), r1[a],
                            phi_r1[b][c], -1), r1[b], phi_r1[a][c]))
@@ -197,16 +197,20 @@ def _twisted_sum(base, rho, dc, omega, start):
     [e_a, c_k] = rho[a] c_k; omega holds dc values per increasing pair
     (a, b), from start((a, b)) on."""
     d = base.dim
-    brackets = {}
+    structure = {}
     for a in range(d):
         for b in range(a + 1, d):
             s = start((a, b))
-            brackets[(a, b)] = (base.basis_bracket(a, b)
-                                + [-c for c in omega[s:s + dc]])
+            vec = base.structure.get((a, b), []) + [
+                (d + k, -c) for k, c in enumerate(omega[s:s + dc]) if c]
+            if vec:
+                structure[(a, b)] = vec
     for a in range(d):
         for k in range(dc):
-            brackets[(a, d + k)] = [0] * d + rho[a].col(k)
-    return LieAlgebra(d + dc, brackets)
+            vec = [(d + i, c) for i, c in enumerate(rho[a].col(k)) if c]
+            if vec:
+                structure[(a, d + k)] = vec
+    return LieAlgebra._of(d + dc, structure)
 
 
 def semidirect_2alg(x, r):

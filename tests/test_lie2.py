@@ -1,6 +1,8 @@
 """Crossed modules, nerves, simplicial maps, and gl(phi)."""
 
 import random
+from fractions import Fraction
+
 import pytest
 
 from lie2coh.numeric import Matrix, Q0, Q1, in_span
@@ -11,7 +13,11 @@ from lie2coh.lie2 import (CrossedModuleAlg, TwoVectorSpace,
                           xmod_from_quadruple, structure_report,
                           nerve_algebra, simplicial_maps, face_matrix,
                           final_target_matrix, gl_phi)
-from lie2coh.samples import rng_from_seed, random_crossed_module
+from lie2coh.tworep import twisted_semidirect
+from lie2coh.samples import (rng_from_seed, random_crossed_module,
+                             random_context, random_lie_algebra,
+                             random_matrix,
+                             random_descending_rep, _ideal_index_choices)
 
 
 def trivial_g_xmod(h):
@@ -216,12 +222,72 @@ def test_nerve_algebra_matches_dense_formula():
     xmods = [random_crossed_module(rng_from_seed(k), 2) for k in range(30)]
     xmods.append(gl_phi(TwoVectorSpace(2, 2, Matrix.zero(2, 2))))
     xmods.append(trivial_g_xmod(LieAlgebra.heisenberg3()))
+    # the formula holds for any data: in this one, which is no crossed
+    # module, mu e_0 = e_0 + e_1 and a slot sums the columns L_0 e_0 = e_1
+    # and L_1 e_0 = e_0 in that order
+    ab2 = LieAlgebra.abelian(2)
+    xmods.append(CrossedModuleAlg(ab2, ab2, Matrix(2, 2, [[1, 0], [1, 0]]),
+                                  Representation(ab2, 2, [
+                                      Matrix(2, 2, [[0, 0], [1, 0]]),
+                                      Matrix(2, 2, [[1, 0], [0, 0]])])))
     for x in xmods:
         for p in range(5):
             got = nerve_algebra(x, p)
             want = dense_nerve_algebra(x, p)
             assert got.dim == want.dim
             assert got.brackets == want.brackets, (p, x)
+            assert got.structure == want.structure, (p, x)
+
+
+def test_library_algebras_skip_the_checked_constructor(monkeypatch):
+    """nerve_algebra, gl_phi, twisted_semidirect and xmod_from_quadruple
+    hand sparse structure constants to LieAlgebra._of: with the checked
+    constructor refused they still build every algebra, each equal, list
+    for list, to the one the checked constructor reads off its dense
+    brackets."""
+    rng = rng_from_seed(41)
+    contexts = [random_context(rng) for _ in range(20)]
+    cochains = []
+    for x, r in contexts:
+        dg, dh = x.g.dim, x.h.dim
+        dw, dv = r.target.dim_w, r.target.dim_v
+        cochains.append(tuple(
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+             for _ in range(n)]
+            for n in (dh * (dh - 1) // 2 * dv, dg * (dg - 1) // 2 * dw,
+                      dh * dg * dw)) + (random_matrix(rng, dv, dg),))
+    phis = [TwoVectorSpace(dw, dv, random_matrix(rng, dv, dw))
+            for dw, dv in ((1, 1), (2, 2), (2, 3), (3, 2))]
+    phis.append(TwoVectorSpace(2, 2, Matrix.zero(2, 2)))
+    quadruples = []
+    for dim in (2, 3, 3, 4):
+        h = random_lie_algebra(rng, dim)
+        for ideal in _ideal_index_choices(h):
+            quadruples.append((h, ideal, 1,
+                               random_descending_rep(rng, h, ideal, 1)))
+    assert len(quadruples) > 10
+
+    def build():
+        out = []
+        for (x, r), cochain in zip(contexts, cochains):
+            out += [nerve_algebra(x, p) for p in range(4)]
+            e = twisted_semidirect(x, r, *cochain)
+            out += [e.g, e.h]
+        for v in phis:
+            x = gl_phi(v)
+            out += [x.g, x.h]
+        out += [xmod_from_quadruple(*q).g for q in quadruples]
+        return out
+
+    want = [LieAlgebra(g.dim, g.brackets) for g in build()]
+
+    def refused(self, dim, brackets=None):
+        raise AssertionError("checked LieAlgebra constructor called")
+
+    monkeypatch.setattr(LieAlgebra, "__init__", refused)
+    got = build()
+    assert [(g.dim, g.structure) for g in got] == \
+        [(g.dim, g.structure) for g in want]
 
 
 def test_faces_level_zero():

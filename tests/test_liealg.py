@@ -1,14 +1,20 @@
 """Lie algebras, representations, and the Chevalley-Eilenberg differential."""
 
+import os
 import random
 from fractions import Fraction
 from math import comb
 
-from lie2coh.numeric import Matrix
+from lie2coh.numeric import Matrix, increasing_tuples
 from lie2coh.liealg import (LieAlgebra, Representation, validate_lie_algebra,
-                            validate_representation, ce_differential)
+                            validate_representation, ce_differential,
+                            _sort_sign)
+from lie2coh.tworep import honest_rep
+from lie2coh.cli import load_problem
 from lie2coh.samples import (rng_from_seed, random_lie_algebra,
                              _commuting_rep, random_context)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_abelian_valid():
@@ -111,6 +117,62 @@ def test_ce_squares_to_zero_random():
         for q in range(g.dim + 1):
             d2 = ce_differential(rep, q + 1) * ce_differential(rep, q)
             assert d2.is_zero(), (g.brackets, q)
+
+
+def dense_ce_differential(rep, q):
+    """The Chevalley-Eilenberg differential written into a dense matrix,
+    cell by cell, from dense bracket vectors: the oracle for the sparse
+    rows of ce_differential."""
+    g, dv = rep.algebra, rep.space_dim
+    src = increasing_tuples(g.dim, q)
+    tgt = increasing_tuples(g.dim, q + 1)
+    src_pos = {t: k for k, t in enumerate(src)}
+    out = Matrix.zero(len(tgt) * dv, len(src) * dv)
+    for row_block, tup in enumerate(tgt):
+        for j in range(q + 1):
+            col_block = src_pos[tup[:j] + tup[j + 1:]]
+            sign = -1 if j % 2 else 1
+            for a in range(dv):
+                for b in range(dv):
+                    out.data[row_block * dv + a][col_block * dv + b] += \
+                        sign * rep.mats[tup[j]].data[a][b]
+        for m in range(q + 1):
+            for n in range(m + 1, q + 1):
+                rest = tuple(tup[t] for t in range(q + 1) if t not in (m, n))
+                sign = -1 if (m + n) % 2 else 1
+                for idx, c in enumerate(g.basis_bracket(tup[m], tup[n])):
+                    s, sorted_tup = _sort_sign((idx,) + rest)
+                    if c == 0 or s == 0:
+                        continue
+                    col_block = src_pos[sorted_tup]
+                    for a in range(dv):
+                        out.data[row_block * dv + a][col_block * dv + a] += \
+                            c * sign * s
+    return out
+
+
+def test_ce_differential_matches_dense_oracle():
+    rng = rng_from_seed(19)
+    reps = []
+    for _ in range(100):
+        g = random_lie_algebra(rng, rng.randint(0, 3))
+        kind = rng.random()
+        if kind < 0.4:
+            reps.append(Representation.adjoint(g))
+        elif kind < 0.6:
+            reps.append(Representation.trivial(g, rng.randint(0, 2)))
+        else:
+            reps.append(_commuting_rep(rng, g, [], rng.randint(1, 2),
+                                       span=2))
+    # the honest representations of the gl(phi) ladder problems, on g_1
+    for name in ("glphi_proj_adjoint", "glphi_zero_adjoint"):
+        ctx = load_problem(os.path.join(ROOT, "bench", "problems",
+                                        name + ".json")).context()
+        reps.append(honest_rep(ctx.rep, ctx.nerve(1)))
+    for rep in reps:
+        for q in range(rep.algebra.dim + 1):
+            assert ce_differential(rep, q).data == \
+                dense_ce_differential(rep, q).data, (rep.algebra.dim, q)
 
 
 def _combination(coeffs, mats, rows, cols):
