@@ -2,8 +2,6 @@
 cocycle extraction from a splitting, cohomologousness, and the
 trivial-coefficient central-extension construction."""
 
-import weakref
-
 from .numeric import (LinearSolver, Matrix, SparseMatrix, Q0, cohomology,
                       rank, rank_and_kernel, solve_linear, vectors_matrix,
                       increasing_tuples, _add_multiple, _nonzero)
@@ -276,21 +274,18 @@ def cocycle_from_slice(ctx, u):
                 for i in range(ctx.dv)]))
 
 
-# the slice map and the slice conditions of each live context, each built
-# once: the cocycle basis, the class count and every TwoCocycle read them
-_SLICES = weakref.WeakKeyDictionary()
-
-
 def _slice_map(ctx):
     """(embed, antisymmetry, positions) on the slice coordinates (omega0 |
-    alpha | phi_g by rows) of cocycle_from_slice, built once.  embed:
+    alpha | phi_g by rows) of cocycle_from_slice, built once per context
+    (the cocycle basis, the class count and every TwoCocycle read it).  embed:
     slice -> C^2_tot maps coordinate k to positions[k] and gives omega1(e_a,
     e_b) = rho1(e_b) phi_g(e_a) + alpha(mu e_a; e_b) at (0,0,2);
     antisymmetry gives the equation (ii) defect omega1(e_a, e_b) +
     omega1(e_b, e_a), dw rows per increasing pair (a, b)."""
-    cache = _SLICES.setdefault(ctx, {})
-    if "map" in cache:
-        return cache["map"]
+    return ctx._factor(("slice_map",), lambda: _build_slice_map(ctx))
+
+
+def _build_slice_map(ctx):
     dg, dv = ctx.dg, ctx.dv
     at = ctx.split(2, list(range(ctx.total_dim(2))))
     phi_at = ctx.block_matrix((1, 1, 0), at.get((1, 1, 0), []), dg)
@@ -323,9 +318,8 @@ def _slice_map(ctx):
             _add_multiple(other, 1, row)
             ii.append(other)
     n = len(positions)
-    cache["map"] = (SparseMatrix(len(embed), n, embed),
-                    SparseMatrix(len(ii), n, ii), positions)
-    return cache["map"]
+    return (SparseMatrix(len(embed), n, embed),
+            SparseMatrix(len(ii), n, ii), positions)
 
 
 def _by_pair(ctx, values):
@@ -335,13 +329,13 @@ def _by_pair(ctx, values):
 
 
 def _slice_conditions(ctx):
-    """The slice conditions, built once: nabla_2 embed over the (ii) rows."""
-    cache = _SLICES.setdefault(ctx, {})
-    if "conditions" not in cache:
+    """The slice conditions, built once per context: nabla_2 embed over the
+    (ii) rows."""
+    def build():
         embed, antisymmetry, _ = _slice_map(ctx)
         rows = (ctx.nabla(2) * embed).sparse + antisymmetry.sparse
-        cache["conditions"] = SparseMatrix(len(rows), embed.cols, rows)
-    return cache["conditions"]
+        return SparseMatrix(len(rows), embed.cols, rows)
+    return ctx._factor(("slice_conditions",), build)
 
 
 def cocycle_space_basis(ctx):

@@ -50,15 +50,14 @@ def mscale(a, c):
 
 
 def mmul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0.0 for _ in range(cols)] for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            x = a[i][k]
-            if isinstance(x, float) and x == 0.0:
-                continue
-            for j in range(cols):
-                out[i][j] = out[i][j] + x * b[k][j]
+    cols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0.0] * cols
+        for x, brow in zip(row, b):
+            if x:
+                acc = [o + x * y for o, y in zip(acc, brow)]
+        out.append(acc)
     return out
 
 
@@ -90,9 +89,8 @@ def minv(a):
         for i in range(n):
             if i != col:
                 f = work[i][col]
-                if isinstance(f, float) and f == 0.0:
-                    continue
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
+                if f:
+                    work[i] = [x - f * y for x, y in zip(work[i], work[col])]
     return [row[n:] for row in work]
 
 
@@ -153,13 +151,15 @@ class GroupXModData:
     """A crossed module of matrix-ish Lie groups given by closures.
 
     All maps must be evaluable on jet-valued entries.  ``exp_g``/``exp_h``
-    take parameter vectors (dim_g/dim_h long); ``tangent_g``/``tangent_h``
-    extract parameter coordinates of a first-order jet element back.
+    take parameter vectors (dim_g/dim_h long) and ``unflatten_g`` undoes
+    ``flatten_g``; ``tangent_g``/``tangent_h`` extract parameter
+    coordinates of a first-order jet element back.  ``sample_g``/``sample_h``
+    are unflatten_g/exp_h of a vector uniform in [-scale, scale]^n.
     """
 
     def __init__(self, dim_g, dim_h, mul_g, inv_g, one_g, mul_h, inv_h,
                  one_h, i_map, act, exp_g, exp_h, flatten_g, flatten_h,
-                 tangent_g, tangent_h, sample_g, sample_h):
+                 unflatten_g, tangent_h):
         self.dim_g = dim_g
         self.dim_h = dim_h
         self.mul_g = mul_g
@@ -174,10 +174,19 @@ class GroupXModData:
         self.exp_h = exp_h
         self.flatten_g = flatten_g
         self.flatten_h = flatten_h
-        self.tangent_g = tangent_g
+        self.unflatten_g = unflatten_g
         self.tangent_h = tangent_h
-        self.sample_g = sample_g
-        self.sample_h = sample_h
+
+    def tangent_g(self, g, key):
+        return [_coefficient(x, key) for x in self.flatten_g(g)]
+
+    def sample_g(self, rng, scale):
+        return self.unflatten_g([scale * (2 * rng.random() - 1)
+                                 for _ in range(self.dim_g)])
+
+    def sample_h(self, rng, scale):
+        return self.exp_h([scale * (2 * rng.random() - 1)
+                           for _ in range(self.dim_h)])
 
     def prod_g(self, elements):
         out = self.one_g
@@ -257,24 +266,13 @@ def glphi_group(v):
     left_inverse = mmul(minv(mmul(chart_t, [list(col) for col
                                             in zip(*chart_t)])), chart_t)
 
-    def tangent_g(a, key):
-        return [_coefficient(x, key) for x in flatten_g(a)]
-
     def tangent_h(x, key):
         return mapply(left_inverse,
                       [_coefficient(e, key) for e in flatten_h(x)])
 
-    def sample_g(rng, scale=0.4):
-        return unflatten_a([scale * (2 * rng.random() - 1)
-                            for _ in range(dim_g)])
-
-    def sample_h(rng, scale=0.4):
-        return exp_h([scale * (2 * rng.random() - 1) for _ in range(dim_h)])
-
     gx = GroupXModData(dim_g, dim_h, mul_g, inv_g, mzero(dw, dv), mul_h,
                        inv_h, (meye(dw), meye(dv)), i_map, act, exp_g,
-                       exp_h, flatten_g, flatten_h, tangent_g, tangent_h,
-                       sample_g, sample_h)
+                       exp_h, flatten_g, flatten_h, unflatten_a, tangent_h)
     gx.phi = phi
     gx.dim_w = dw
     gx.dim_v = dv
@@ -287,10 +285,6 @@ def additive_group(dim_g, dim_h, i_matrix=None):
     and an optional linear structural map."""
     if i_matrix is None:
         i_matrix = mzero(dim_h, dim_g)
-
-    def ident(vec):
-        return list(vec)
-
     return GroupXModData(
         dim_g, dim_h,
         lambda a, b: [x + y for x, y in zip(a, b)],
@@ -301,13 +295,8 @@ def additive_group(dim_g, dim_h, i_matrix=None):
         [0.0] * dim_h,
         lambda g: mapply(i_matrix, g),
         lambda g, h: list(g),
-        ident, ident, ident, ident,
-        lambda g, key: [_coefficient(x, key) for x in g],
-        lambda h, key: [_coefficient(x, key) for x in h],
-        lambda rng, scale=1.0: [scale * (2 * rng.random() - 1)
-                                for _ in range(dim_g)],
-        lambda rng, scale=1.0: [scale * (2 * rng.random() - 1)
-                                for _ in range(dim_h)])
+        list, list, list, list, list,
+        lambda h, key: [_coefficient(x, key) for x in h])
 
 
 def _elem_residual(gx, kind, a, b):
@@ -316,16 +305,22 @@ def _elem_residual(gx, kind, a, b):
     return vmax([x - y for x, y in zip(fa, fb)])
 
 
-def group_xmod_validate_sampled(gx, samples=20, seed=0, scale=0.4):
+# the sample_g/sample_h scale of the sampled crossed-module, 2-cocycle and
+# curvature checks, and of the sampled relations between the lattice maps
+_SAMPLE_SCALE = 0.4
+_RELATION_SCALE = 0.35
+
+
+def group_xmod_validate_sampled(gx, samples=20, seed=0):
     """Max residual per crossed-module axiom over seeded random samples."""
     rng = random.Random(seed)
     out = dict.fromkeys(("i_homomorphism", "action_automorphism",
                          "right_action", "equivariance", "peiffer"), 0.0)
     for _ in range(samples):
-        g1 = gx.sample_g(rng, scale)
-        g2 = gx.sample_g(rng, scale)
-        h1 = gx.sample_h(rng, scale)
-        h2 = gx.sample_h(rng, scale)
+        g1 = gx.sample_g(rng, _SAMPLE_SCALE)
+        g2 = gx.sample_g(rng, _SAMPLE_SCALE)
+        h1 = gx.sample_h(rng, _SAMPLE_SCALE)
+        h2 = gx.sample_h(rng, _SAMPLE_SCALE)
         for name, kind, lhs, rhs in (
                 ("i_homomorphism", "h", gx.i(gx.mul_g(g1, g2)),
                  gx.mul_h(gx.i(g1), gx.i(g2))),
@@ -441,12 +436,10 @@ def tautological_rep(gx):
                         gx.phi, gx.dim_w, gx.dim_v)
 
 
-def trivial_group_rep(gx, dim_w, dim_v, phi=None):
-    if phi is None:
-        phi = mzero(dim_v, dim_w)
+def trivial_group_rep(gx, dim_w, dim_v):
     return GroupRepData(gx, lambda g: mzero(dim_w, dim_v),
                         lambda h: meye(dim_w), lambda h: meye(dim_v),
-                        phi, dim_w, dim_v)
+                        mzero(dim_v, dim_w), dim_w, dim_v)
 
 
 class GpPoint:
@@ -717,7 +710,7 @@ def diff_cochain(rep, kind, c):
 
 
 def gp2cocycle_residuals(rep, omega0, omega1, alpha, phihat, samples=20,
-                         seed=0, scale=0.4):
+                         seed=0):
     """Max residual of the seven extension equations at random samples.
 
     omega0(h0, h1) -> V, omega1(g0, g1) -> W, alpha(h; g) -> W,
@@ -727,8 +720,8 @@ def gp2cocycle_residuals(rep, omega0, omega1, alpha, phihat, samples=20,
     rng = random.Random(seed)
     res = {k: 0.0 for k in ("i", "ii", "iii", "iv", "v", "vi", "vii")}
     for _ in range(samples):
-        h0, h1, h2 = (gx.sample_h(rng, scale) for _ in range(3))
-        g0, g1, g2 = (gx.sample_g(rng, scale) for _ in range(3))
+        h0, h1, h2 = (gx.sample_h(rng, _SAMPLE_SCALE) for _ in range(3))
+        g0, g1, g2 = (gx.sample_g(rng, _SAMPLE_SCALE) for _ in range(3))
         mh = gx.mul_h
         mg = gx.mul_g
         lhs = _vsub(_vadd(mapply(rep.rho0_v(h0), omega0(h1, h2)),
@@ -780,7 +773,7 @@ def gp2cocycle_residuals(rep, omega0, omega1, alpha, phihat, samples=20,
 # ---------------------------------------------------------------------------
 
 
-def homotopy_curvature_residual(rep, samples=10, seed=0, scale=0.4):
+def homotopy_curvature_residual(rep, samples=10, seed=0):
     """Worst sampled defect of the identities that make rep a morphism of
     crossed modules into GL(phi), which is what makes the curvature of the
     induced representation up to homotopy vanish:
@@ -795,11 +788,11 @@ def homotopy_curvature_residual(rep, samples=10, seed=0, scale=0.4):
     eye_w, eye_v = meye(rep.dim_w), meye(rep.dim_v)
     worst = 0.0
     # each h sample is also the second factor of the next sample's product
-    h2 = gx.sample_h(rng, scale)
+    h2 = gx.sample_h(rng, _SAMPLE_SCALE)
     for _ in range(samples):
-        g1 = gx.sample_g(rng, scale)
-        g2 = gx.sample_g(rng, scale)
-        h1 = gx.sample_h(rng, scale)
+        g1 = gx.sample_g(rng, _SAMPLE_SCALE)
+        g2 = gx.sample_g(rng, _SAMPLE_SCALE)
+        h1 = gx.sample_h(rng, _SAMPLE_SCALE)
         r1, r2 = rep.rho1(g1), rep.rho1(g2)
         w1, v1 = rep.rho0_w(h1), rep.rho0_v(h1)
         h12 = gx.mul_h(h1, h2)
@@ -933,11 +926,11 @@ def _flatten_point(gx, pt):
     return out
 
 
-def random_group_cochain(rep, p, q, r, rng, terms=2, span=1.0):
+def random_group_cochain(rep, p, q, r, rng):
     """A normalized polynomial cochain: each output coordinate is a sum of
-    products of one centered linear functional per slot, so it vanishes
-    whenever any argument is the unit (the normalization the groupoid
-    complexes assume)."""
+    two products of one centered linear functional per slot, with
+    coefficients uniform in [-1, 1], so it vanishes whenever any argument
+    is the unit (the normalization the groupoid complexes assume)."""
     gx = rep.gx
     out_dim = rep.dim_v if r == 0 else rep.dim_w
     unit_gamma = _flatten_point(gx, gp_one(gx, p))
@@ -948,10 +941,10 @@ def random_group_cochain(rep, p, q, r, rng, terms=2, span=1.0):
     coeffs = []
     for _ in range(out_dim):
         rows = []
-        for _ in range(terms):
-            gamma_fns = [[span * (2 * rng.random() - 1)
+        for _ in range(2):
+            gamma_fns = [[2 * rng.random() - 1
                           for _ in range(shape_gamma)] for _ in range(q)]
-            g_fns = [[span * (2 * rng.random() - 1)
+            g_fns = [[2 * rng.random() - 1
                       for _ in range(shape_g)] for _ in range(r)]
             rows.append((gamma_fns, g_fns))
         coeffs.append(rows)
@@ -983,7 +976,7 @@ def _maps(rep, c, *kinds):
     return c
 
 
-def _sampled_relation(rep, index, shape, samples, seed, scale, relation):
+def _sampled_relation(rep, index, shape, samples, seed, relation):
     """Worst sampled residual of a pointwise relation between maps out of
     C^{p,q}_r, index = (p, q, r).  Each sample draws, in this order, a
     random cochain c there, then the point: shape = (level, points, n_fs)
@@ -995,14 +988,14 @@ def _sampled_relation(rep, index, shape, samples, seed, scale, relation):
     worst = 0.0
     for _ in range(samples):
         c = random_group_cochain(rep, *index, rng)
-        gammas = [gp_sample(gx, rng, level, scale) for _ in range(points)]
-        fs = [gx.sample_g(rng, scale) for _ in range(n_fs)]
+        gammas = [gp_sample(gx, rng, level, _RELATION_SCALE)
+                  for _ in range(points)]
+        fs = [gx.sample_g(rng, _RELATION_SCALE) for _ in range(n_fs)]
         worst = max(worst, vmax(relation(c, gammas, fs)))
     return worst
 
 
-def startop_relation_residual(rep, r, samples=10, seed=0, scale=0.35,
-                              p=0, q=0):
+def startop_relation_residual(rep, r, samples=10, seed=0, p=0, q=0):
     """(-1)^r (delta partial - partial delta) = Delta delta1 - delta1 Delta
     on C^{p,q}_r, evaluated pointwise at random samples."""
     first = "delta1" if r >= 1 else "deltaPrime"
@@ -1018,10 +1011,10 @@ def startop_relation_residual(rep, r, samples=10, seed=0, scale=0.35,
         return _vsub(lhs, rhs)
 
     return _sampled_relation(rep, (p, q, r), (p + 1, q + 1, r), samples,
-                             seed, scale, relation)
+                             seed, relation)
 
 
-def atsch_iv_residual(rep, p, q, samples=10, seed=0, scale=0.35):
+def atsch_iv_residual(rep, p, q, samples=10, seed=0):
     """partial Delta + Delta partial = Delta_2^q delta1 on C^{p,q}_1."""
 
     def relation(c, gammas, fs):
@@ -1030,10 +1023,10 @@ def atsch_iv_residual(rep, p, q, samples=10, seed=0, scale=0.35):
         return _vsub(lhs, _maps(rep, c, "delta1", "Delta2q")(gammas, fs))
 
     return _sampled_relation(rep, (p, q, 1), (p + 2, q + 1, 0), samples,
-                             seed, scale, relation)
+                             seed, relation)
 
 
-def atsch_v_residual(rep, p, q, samples=10, seed=0, scale=0.35):
+def atsch_v_residual(rep, p, q, samples=10, seed=0):
     """delta Delta + Delta delta = Delta_2^p delta1 on C^{p,q}_1."""
 
     def relation(c, gammas, fs):
@@ -1042,7 +1035,7 @@ def atsch_v_residual(rep, p, q, samples=10, seed=0, scale=0.35):
         return _vsub(lhs, _maps(rep, c, "delta1", "Delta2p")(gammas, fs))
 
     return _sampled_relation(rep, (p, q, 1), (p + 1, q + 2, 0), samples,
-                             seed, scale, relation)
+                             seed, relation)
 
 
 # ---------------------------------------------------------------------------

@@ -73,8 +73,8 @@ from itertools import combinations
 from .numeric import (Matrix, SparseMatrix, Space, Q0, cohomology, rank,
                       increasing_tuples, _demote, _nonzero)
 from .liealg import _sort_sign, ce_differential, sparse_columns
-from .lie2 import (TwoVectorSpace, nerve_algebra, face_columns, face_matrix,
-                   final_target_matrix, validate_crossed_module)
+from .lie2 import (TwoVectorSpace, nerve_algebra, face_columns,
+                   validate_crossed_module)
 from .tworep import TwoRep, validate_two_rep, honest_rep
 
 # Sign of Delta_k on C^{p,q}_r inside the total differential.  Calibrated
@@ -241,13 +241,6 @@ class LatticeContext:
 
     def nerve(self, p):
         return self._factor(("nerve", p), lambda: nerve_algebra(self.x, p))
-
-    def face(self, p, k):
-        return face_matrix(self.x, p, k)
-
-    def target(self, p):
-        return self._factor(("target", p),
-                            lambda: final_target_matrix(self.x, p))
 
     def space(self, p, q, r):
         key = (p, q, r)

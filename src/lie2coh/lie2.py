@@ -35,10 +35,6 @@ class CrossedModuleAlg:
         assert action.algebra == h and action.space_dim == g.dim
         self.action = action
 
-    def act(self, y, x):
-        """L_y x for coefficient vectors y in h, x in g."""
-        return self.action.act(y).apply(x)
-
     def __eq__(self, other):
         return (isinstance(other, CrossedModuleAlg) and self.g == other.g
                 and self.h == other.h and self.mu == other.mu

@@ -1,9 +1,9 @@
 """Finite-dimensional Lie algebras by structure constants, representations,
 and the Chevalley-Eilenberg differential with coefficients."""
 
-from .numeric import (Matrix, SparseMatrix, Q0, Q1, rat, increasing_tuples,
-                      linear_combination, vectors_matrix, _nonzero,
-                      _sparse_rows)
+from .numeric import (LinearSolver, Matrix, SparseMatrix, Q0, Q1, rat,
+                      increasing_tuples, linear_combination, vectors_matrix,
+                      _nonzero, _sparse_rows)
 
 
 class LieAlgebra:
@@ -107,8 +107,12 @@ class LieAlgebra:
 
     def change_basis(self, t):
         """Structure constants in the new basis given by the columns of t."""
-        tinv = _invert(t)
+        solver = LinearSolver(t)
         d = self.dim
+        assert len(solver.pivots) == d == t.rows, "matrix not invertible"
+        # for an invertible t the solver's transform rows are those of t^-1;
+        # applied as they are, integral Fraction entries stay Fractions
+        tinv = SparseMatrix(d, d, solver.transform)
         cols = t.columns()
         structure = {}
         for i in range(d):
@@ -124,16 +128,6 @@ def _unit(dim, j):
     v = [Q0] * dim
     v[j] = Q1
     return v
-
-
-def _invert(m):
-    from .numeric import solve_linear
-    cols = []
-    for j in range(m.rows):
-        x = solve_linear(m, _unit(m.rows, j))
-        assert x is not None, "matrix not invertible"
-        cols.append(x)
-    return vectors_matrix(cols, dim=m.rows)
 
 
 def validate_lie_algebra(g):

@@ -23,12 +23,10 @@ def random_matrix(rng, rows, cols, span=2):
                                 for _ in range(cols)] for _ in range(rows)])
 
 
-def random_unimodular(rng, n, steps=None):
-    """Random integer matrix with determinant +-1 (product of shears)."""
+def random_unimodular(rng, n):
+    """Random integer matrix with determinant +-1 (product of 2n shears)."""
     m = Matrix.identity(n)
-    if steps is None:
-        steps = 2 * n
-    for _ in range(steps):
+    for _ in range(2 * n):
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i == j:
@@ -122,11 +120,11 @@ def _commuting_rep(rng, h, dead_vectors, dim, span=1):
     return rep
 
 
-def random_descending_rep(rng, h, ideal_indices, v_dim, span=1):
+def random_descending_rep(rng, h, ideal_indices, v_dim):
     """Representation of h on Q^v_dim vanishing on the ideal (hence a
     representation of the quotient h/I)."""
     killed = [_unit(h.dim, i) for i in ideal_indices]
-    return _commuting_rep(rng, h, killed, v_dim, span)
+    return _commuting_rep(rng, h, killed, v_dim)
 
 
 def random_crossed_module(rng, max_dim=2):
@@ -164,7 +162,7 @@ def random_context(rng, max_dim=2):
         dv = rng.randint(0, max_dim)
         target = TwoVectorSpace(0, dv, Matrix.zero(dv, 0))
         mu_img = [x.mu.col(j) for j in range(x.g.dim)]
-        rho = _rep_killing(rng, x.h, mu_img, dv)
+        rho = _commuting_rep(rng, x.h, mu_img, dv)
         r = TwoRep(x, target, [Matrix.zero(0, dv)] * x.g.dim,
                    Representation.trivial(x.h, 0), rho)
     elif kind == "unit_w":
@@ -172,7 +170,7 @@ def random_context(rng, max_dim=2):
         dw = rng.randint(0, max_dim)
         target = TwoVectorSpace(dw, 0, Matrix.zero(0, dw))
         mu_img = [x.mu.col(j) for j in range(x.g.dim)]
-        rho = _rep_killing(rng, x.h, mu_img, dw)
+        rho = _commuting_rep(rng, x.h, mu_img, dw)
         r = TwoRep(x, target, [Matrix.zero(dw, 0)] * x.g.dim,
                    rho, Representation.trivial(x.h, 0))
     else:
@@ -195,12 +193,6 @@ def random_context(rng, max_dim=2):
         r = pullback_two_rep(small, x, proj_g, proj_h)
     assert not validate_two_rep(r)
     return x, r
-
-
-def _rep_killing(rng, h, killed_vectors, dim):
-    """Random rep of h on Q^dim vanishing on the given vectors (used for
-    the W = 0 and V = 0 unit 2-representations, which must kill mu(g))."""
-    return _commuting_rep(rng, h, killed_vectors, dim)
 
 
 def rng_from_seed(seed):

@@ -518,6 +518,99 @@ def test_group_checks_trials_below_one_exit_two(capsys):
         assert out == ""
 
 
+def _with(value, *keys):
+    """A change to a fixture that sets raw[keys[0]][keys[1]]... to value."""
+    def change(raw):
+        target = raw
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        return raw
+    return change
+
+
+def _without(*keys):
+    """A change to a fixture that drops the given top-level sections."""
+    def change(raw):
+        for key in keys:
+            del raw[key]
+        return raw
+    return change
+
+
+def _same(raw):
+    return raw
+
+
+# (id, fixture, change to a copy of it (None: no file is written), command
+# with the copy's path after the subcommand, message of the input error)
+INPUT_ERRORS = [
+    ("matrix_row_length", ADJOINT,
+     _with([["0"], ["0", "1"]], "lie2algebra", "mu"), ["validate"],
+     "lie2algebra.mu: row 0 has 1 entries, expected 2"),
+    ("algebra_dim", ADJOINT, _with(-1, "lie2algebra", "g", "dim"),
+     ["validate"], "lie2algebra.g: missing or bad 'dim'"),
+    ("bracket_key", ADJOINT,
+     _with({"0-1": ["0", "1"]}, "lie2algebra", "h", "brackets"),
+     ["validate"], "lie2algebra.h: bad bracket key '0-1'"),
+    ("bracket_key_range", ADJOINT,
+     _with({"1,0": ["0", "1"]}, "lie2algebra", "h", "brackets"),
+     ["validate"], "lie2algebra.h: bracket key '1,0' out of range"),
+    ("bracket_length", ADJOINT,
+     _with({"0,1": ["1"]}, "lie2algebra", "h", "brackets"), ["validate"],
+     "lie2algebra.h: bracket '0,1' has 1 coefficients, expected 2"),
+    ("action_count", ADJOINT,
+     _with([[["1", "0"], ["0", "1"]]], "lie2algebra", "action"),
+     ["validate"], "lie2algebra.action: expected 2 matrices"),
+    ("two_vector_dims", ADJOINT, _with("2", "two_vector", "W"),
+     ["validate"], "two_vector: W and V must be integers"),
+    ("two_rep_alone", ADJOINT, _without("lie2algebra"), ["validate"],
+     "two_rep needs lie2algebra and two_vector"),
+    ("rho1_count", ADJOINT, _with([], "two_rep", "rho1"), ["validate"],
+     "two_rep.rho1: expected 2 matrices"),
+    ("rho0_count", ADJOINT, _with([], "two_rep", "rho0_V"), ["validate"],
+     "two_rep.rho0_W/rho0_V: expected 2 matrices"),
+    ("cochain_index_shape", CENTRAL,
+     _with({"index": [0, 2], "values": ["1"]}, "cochains", "volume"),
+     ["validate"], "cochains.volume: need index [p,q,r] and values"),
+    ("unreadable_file", ADJOINT, None, ["validate"],
+     "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+    ("top_level_not_object", ADJOINT, lambda raw: [raw], ["validate"],
+     "{path}: top level must be an object"),
+    ("negative_degree", ADJOINT, _same, ["cohomology", "--degree", "-1"],
+     "--degree must be nonnegative"),
+    ("trivial_without_algebra", ADJOINT, _without("lie2algebra", "two_rep"),
+     ["cohomology", "--degree", "1", "--trivial"],
+     "--trivial needs a lie2algebra section"),
+    ("cochain_wrong_index", CENTRAL, _same,
+     ["extend", "--cocycle", "zero_alpha,zero_alpha,zero_phi"],
+     "cochain 'zero_alpha' has index (0, 1, 1), expected (0, 2, 0)"),
+    ("cochain_value_count", CENTRAL,
+     _with(["1", "2"], "cochains", "volume", "values"),
+     ["extend", "--cocycle", "volume,zero_alpha,zero_phi"],
+     "cochain 'volume' has 2 values, expected 1"),
+    ("cocycle_name_count", CENTRAL, _same,
+     ["extend", "--cocycle", "volume,zero_alpha"],
+     "expected three comma-separated cochain names (omega0,alpha,phimap)"),
+]
+
+
+@pytest.mark.parametrize("fixture, change, command, message",
+                         [case[1:] for case in INPUT_ERRORS],
+                         ids=[case[0] for case in INPUT_ERRORS])
+def test_malformed_input_exit_two(tmp_path, capsys, fixture, change,
+                                  command, message):
+    """Each malformed copy of a fixture is refused with exit 2 and the
+    message that names what is wrong, before any check runs."""
+    path = str(tmp_path / "input.json")
+    if change is not None:
+        path = _write(tmp_path, change(load_json(fixture)))
+    code, out, err = run(capsys, command[:1] + [path] + command[1:])
+    assert code == 2
+    assert err == "input error: %s\n" % message.format(path=path)
+    assert out == ""
+
+
 GOLDEN_GROUP_CHECKS = [
     (["glphi", "--dims", "2", "1"],
      "CHECK glphi_action_automorphism: PASS residual 2.220e-16\n"

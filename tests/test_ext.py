@@ -97,6 +97,19 @@ def test_twisted_extension_pinned():
     assert extension_from_cocycle(coc).total == total
 
 
+def test_extension_refuses_invalid_cocycle():
+    """The cocycle of the pinned twisted extension with one alpha entry
+    changed violates the cocycle equations, and no extension is built."""
+    h = LieAlgebra.aff1()
+    x = CrossedModuleAlg(h, h, Matrix.identity(2), Representation.adjoint(h))
+    ctx = LatticeContext(x, adjoint_rep(x))
+    coc = TwoCocycle(ctx, [-2, -1], [0, -1, -1, -1, 1, 1, 0, 2],
+                     Matrix(2, 2, [[1, 1], [1, 1]]))
+    assert coc.validate()
+    with pytest.raises(ValueError, match="invalid 2-cocycle"):
+        extension_from_cocycle(coc)
+
+
 def test_heisenberg_central_extension():
     ctx = central_context()
     coc = TwoCocycle(ctx, [Q1], [], Matrix.zero(1, 0))

@@ -121,7 +121,7 @@ def test_partial_collapses_on_constant_cochain():
     rep = trivial_group_rep(gx, 1, 1)
     c = GroupCochain(0, 0, 1, lambda gammas, fs: [fs[0][0] + 2 * fs[0][1]])
     rng = random.Random(6)
-    f = gx.sample_g(rng)
+    f = gx.sample_g(rng, 1.0)
     out = diff_cochain(rep, "partial", c)
     assert abs(out([], [f])[0]) < 1e-15               # p = 0: zero
     # p = 1: identity (the three faces alternate +,-,+ on a constant)
@@ -230,6 +230,27 @@ def test_van_est_r_linear_examples():
     assert abs(van_est_r(const, [1.0, 1.0], slot="h")([], [])[0]) < 1e-15
 
 
+def test_van_est_r_g_slot_closed_form():
+    """R_x on the first G-slot of F(gamma; f0, f1) = h f0[0] f1[1]
+    + f0[1] f1[0]^2 + f0[0]^2 over R^2 -> R is h x[0] f1[1] + x[1] f1[0]^2;
+    R_y after it leaves h x[0] y[1], and R_xi of that xi[0] x[0] y[1]."""
+    gx = additive_group(2, 1)
+    F = VanEstCochain(gx, 0, 1, 2, lambda gammas, fs: [
+        gammas[0].h[0] * fs[0][0] * fs[1][1] + fs[0][1] * fs[1][0] * fs[1][0]
+        + fs[0][0] * fs[0][0]])
+    x, y, xi = [0.7, -1.3], [0.4, 2.5], [-0.6]
+    rx = van_est_r(F, x)
+    assert (rx.p, rx.q, rx.r) == (0, 1, 1)
+    h, f1 = 1.5, [0.3, -2.0]
+    got = rx([GpPoint([], [h])], [f1])[0]
+    assert abs(got - (h * x[0] * f1[1] + x[1] * f1[0] ** 2)) < 1e-12
+    ryx = van_est_r(rx, y)
+    assert (ryx.p, ryx.q, ryx.r) == (0, 1, 0)
+    assert abs(ryx([GpPoint([], [h])], [])[0] - h * x[0] * y[1]) < 1e-12
+    full = van_est_r(ryx, xi, slot="h")
+    assert abs(full([], [])[0] - xi[0] * x[0] * y[1]) < 1e-12
+
+
 def test_van_est_phi_heisenberg():
     gx = additive_group(0, 2)
     F = VanEstCochain(gx, 0, 2, 0,
@@ -312,11 +333,8 @@ def aff1_matrix_group():
         exp_h,
         lambda g: [],
         flatten_h,
-        lambda g, key: [],
-        lambda m, key: [coeff_of(x, key) for x in flatten_h(m)],
-        lambda rng, scale=0.4: [],
-        lambda rng, scale=0.4: exp_h([scale * (2 * rng.random() - 1)
-                                      for _ in range(2)]))
+        lambda vec: [],
+        lambda m, key: [coeff_of(x, key) for x in flatten_h(m)])
     return gx
 
 

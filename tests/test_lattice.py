@@ -13,7 +13,8 @@ import pytest
 from lie2coh.numeric import (Matrix, SparseMatrix, Q0, Q1, rank,
                              rank_and_kernel, vectors_matrix, in_span)
 from lie2coh.liealg import LieAlgebra, Representation, _unit, ce_differential
-from lie2coh.lie2 import CrossedModuleAlg, TwoVectorSpace, gl_phi
+from lie2coh.lie2 import (CrossedModuleAlg, TwoVectorSpace, gl_phi,
+                          face_matrix, final_target_matrix)
 from lie2coh.tworep import TwoRep, adjoint_rep
 from lie2coh.lattice import (LatticeContext, LatticeCochain, _delta_sign,
                              MAX_NABLA_CELLS,
@@ -614,7 +615,7 @@ def _check_components_pointwise(ctx, rng, p, q, r):
     x = ctx.x
     c = LatticeCochain(ctx, p, q, r, _rand_vec(rng, ctx.cochain_dim(p, q, r)))
     gp = ctx.nerve(p)
-    tp = ctx.target(p)
+    tp = final_target_matrix(ctx.x, p)
     xis = [_rand_vec(rng, ctx.gp_dim(p)) for _ in range(q + 1)]
     zs = [_rand_vec(rng, ctx.dg) for _ in range(r)]
 
@@ -650,7 +651,7 @@ def _check_components_pointwise(ctx, rng, p, q, r):
     xis_up = [_rand_vec(rng, ctx.gp_dim(p + 1)) for _ in range(q)]
     out = [Q0] * (ctx.dv if r == 0 else ctx.dw)
     for k in range(p + 2):
-        face = ctx.face(p, k)
+        face = face_matrix(ctx.x, p, k)
         sign = -1 if k % 2 else 1
         val = c.evaluate([face.apply(v) for v in xis_up], zs)
         out = [a + sign * b for a, b in zip(out, val)]
@@ -691,7 +692,7 @@ def _check_components_pointwise(ctx, rng, p, q, r):
         xis_d = [_rand_vec(rng, ctx.gp_dim(p + 1))
                  for _ in range(q + k_ord)]
         zs_d = [_rand_vec(rng, ctx.dg) for _ in range(r - k_ord)]
-        face0 = ctx.face(p, 0)
+        face0 = face_matrix(ctx.x, p, 0)
         out = [Q0] * ctx.dw
         for subset in combinations(range(q + k_ord), k_ord):
             sign = -1 if sum(subset) % 2 else 1
