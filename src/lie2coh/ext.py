@@ -89,10 +89,7 @@ def contexts_match(a, b):
 def _same_two_rep(a, b):
     """Equal crossed module data and equal 2-representation matrices."""
     xa, xb = a.source, b.source
-    return ((xa is xb
-             or (xa.g == xb.g and xa.h == xb.h
-                 and xa.mu == xb.mu
-                 and xa.action.mats == xb.action.mats))
+    return ((xa is xb or xa == xb)
             and a.target.phi == b.target.phi
             and a.rho1 == b.rho1
             and a.rho0_w.mats == b.rho0_w.mats
@@ -170,17 +167,16 @@ def cocycle_from_extension(e, sigma0, sigma1, base_x=None):
     assert (pi1 * sigma1 - Matrix.identity(dg)).is_zero(), "sigma1 not a section"
 
     # each inclusion is factored once and solved for every read
-    w_solver, v_solver = LinearSolver(j1), LinearSolver(j0)
+    def coords(inclusion, name):
+        solver = LinearSolver(inclusion)
 
-    def w_coords(vec):
-        sol = w_solver.solve(vec)
-        assert sol is not None, "value not in W"
-        return sol
+        def solve(vec):
+            sol = solver.solve(vec)
+            assert sol is not None, "value not in %s" % name
+            return sol
+        return solve
 
-    def v_coords(vec):
-        sol = v_solver.solve(vec)
-        assert sol is not None, "value not in V"
-        return sol
+    w_coords, v_coords = coords(j1, "W"), coords(j0, "V")
 
     if base_x is None and e.ctx is not None:
         base_x = e.ctx.x

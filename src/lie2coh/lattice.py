@@ -51,10 +51,10 @@ the tables are built from are cached there too.  As t e is mu e_a or e_b,
 rho0(t e) and Der(L_{t e}) are built for the mu e_a and the e_b only, and
 shared by every p.
 
-Components and each nabla_n are ``SparseMatrix`` rows of their nonzeros:
-``nabla`` copies each component's rows to its block offsets,
-``nabla_squared_blocks`` multiplies the sparse rows, and
-``total_cohomology`` hands nabla_{n-1} and nabla_n to
+Components and each nabla_n are ``SparseMatrix`` rows of their nonzeros.
+``nabla`` copies each component's rows to its block offsets and keeps
+only nabla_n, once per degree; ``nabla_squared_blocks`` multiplies the
+sparse rows, and ``total_cohomology`` hands nabla_{n-1} and nabla_n to
 ``numeric.cohomology``, so no dense nabla or kernel is built on the way to
 H^n.  Their ``data`` is a dense view, built only when read.
 
@@ -71,7 +71,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .numeric import (Matrix, SparseMatrix, Space, Q0, cohomology, rank,
-                      increasing_tuples, _demote, _nonzero)
+                      increasing_tuples, _demote, _nonzero, _sparse_rows)
 from .liealg import _sort_sign, ce_differential, sparse_columns
 from .lie2 import (TwoVectorSpace, nerve_algebra, face_columns,
                    validate_crossed_module)
@@ -140,9 +140,8 @@ def _row(terms, pos):
 
 def _table(m):
     """The table of a matrix, None if it is zero."""
-    table = [(a, [(b, _demote(x)) for b, x in enumerate(row) if x])
-             for a, row in enumerate(m.data)]
-    return [(a, pairs) for a, pairs in table if pairs] or None
+    return [(a, list(row.items()))
+            for a, row in enumerate(_sparse_rows(m.data)) if row] or None
 
 
 def _tuple_table(images, pos):
@@ -224,7 +223,6 @@ class LatticeContext:
         self._factors = {}
         self._spaces = {}
         self._layouts = {}
-        self._mats = {}
         self._nablas = {}
 
     # -- structural caches -------------------------------------------------
@@ -259,11 +257,9 @@ class LatticeContext:
 
         kind in {"deltaR", "delta1", "partial", "DeltaK"}; for DeltaK the
         difference order k with 1 <= k <= r is required, the other kinds
-        take none.  ValueError on a negative index.
+        take none.  ValueError on a negative index.  Not cached: nabla
+        reads each component once and caches its own result.
         """
-        key = (kind, p, q, r, k)
-        if key in self._mats:
-            return self._mats[key]
         terms_of = {"deltaR": self._delta_r_terms,
                     "delta1": self._delta_one_terms,
                     "partial": self._partial_terms,
@@ -287,8 +283,7 @@ class LatticeContext:
         tgt = self.space(p + shift[0], q + shift[1], r + shift[2])
         terms = terms_of[kind](src, tgt, k) \
             if src.total_dim and tgt.total_dim else []
-        self._mats[key] = self._assemble(src, tgt, terms)
-        return self._mats[key]
+        return self._assemble(src, tgt, terms)
 
     @staticmethod
     def _assemble(src, tgt, terms):

@@ -3,8 +3,9 @@
 
 from fractions import Fraction
 
-from .numeric import (Matrix, SparseMatrix, Q0, Q1, rank_and_kernel,
-                      solve_linear, vectors_matrix, in_span, _demote)
+from .numeric import (LinearSolver, Matrix, SparseMatrix, Q0, Q1,
+                      rank_and_kernel, solve_linear, vectors_matrix, in_span,
+                      _demote)
 from .liealg import (LieAlgebra, Representation, validate_lie_algebra,
                      validate_representation, sparse_columns, apply_into,
                      _unit)
@@ -167,7 +168,8 @@ def structure_report(x):
     """Orbit ideal mu(g), central isotropy ker mu, and the induced
     representation of h (descending to h/mu(g)) on ker mu."""
     mu_cols = [x.mu.col(j) for j in range(x.g.dim)]
-    _, orbit_basis = _independent(mu_cols, x.h.dim)
+    # the pivot columns of mu are the ones independent of those before them
+    orbit_basis = [mu_cols[c] for c in LinearSolver(x.mu).pivots]
     # [h, mu(g)] subset mu(g)
     orbit_is_ideal = all(
         in_span(orbit_basis, x.h.bracket(_unit(x.h.dim, b), w))
@@ -222,16 +224,6 @@ def _primitive(vec):
     if content > 1:
         ints = [x // content for x in ints]
     return ints
-
-
-def _independent(vecs, dim):
-    chosen = []
-    idx = []
-    for k, v in enumerate(vecs):
-        if any(c != 0 for c in v) and not in_span(chosen, v):
-            chosen.append(v)
-            idx.append(k)
-    return idx, chosen
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +317,6 @@ def final_target_matrix(x, p):
     for _ in range(p):
         m = x.mu.hstack(m)
     return m
-
-
-def simplicial_maps(x, p):
-    """All faces g_{p+1} -> g_p plus the final target map of g_p."""
-    faces = [face_matrix(x, p, k) for k in range(p + 2)]
-    return faces, final_target_matrix(x, p)
 
 
 # ---------------------------------------------------------------------------

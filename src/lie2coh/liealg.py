@@ -3,7 +3,7 @@ and the Chevalley-Eilenberg differential with coefficients."""
 
 from .numeric import (LinearSolver, Matrix, SparseMatrix, Q0, Q1, rat,
                       increasing_tuples, linear_combination, vectors_matrix,
-                      _nonzero, _sparse_rows)
+                      _demote, _nonzero, _sparse_rows)
 
 
 class LieAlgebra:
@@ -110,15 +110,14 @@ class LieAlgebra:
         solver = LinearSolver(t)
         d = self.dim
         assert len(solver.pivots) == d == t.rows, "matrix not invertible"
-        # for an invertible t the solver's transform rows are those of t^-1;
-        # applied as they are, integral Fraction entries stay Fractions
+        # for an invertible t the solver's transform rows are those of t^-1
         tinv = SparseMatrix(d, d, solver.transform)
         cols = t.columns()
         structure = {}
         for i in range(d):
             for j in range(i + 1, d):
                 w = tinv.apply(self.bracket(cols[i], cols[j]))
-                nonzero = [(k, x) for k, x in enumerate(w) if x != 0]
+                nonzero = [(k, _demote(x)) for k, x in enumerate(w) if x]
                 if nonzero:
                     structure[(i, j)] = nonzero
         return LieAlgebra._of(d, structure)

@@ -22,7 +22,6 @@ read-only dense view built on first read; products, ``apply``,
 
 from fractions import Fraction
 from itertools import combinations
-import math
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -548,26 +547,6 @@ class Jet:
             term = term * x * (-inv_c0)
             out = out + term
         return out
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).reciprocal()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.reciprocal()
-
-
-def jet_exp(j):
-    """exp of a jet: e^c * sum_k (j-c)^k / k! truncated at the order."""
-    if not isinstance(j, Jet):
-        return math.exp(j)
-    c0 = j.const
-    x = j - c0
-    out = Jet.constant(1.0, j.num_vars, j.order)
-    term = Jet.constant(1.0, j.num_vars, j.order)
-    for k in range(1, j.order + 1):
-        term = term * x * (1.0 / k)
-        out = out + term
-    return out * math.exp(c0)
 
 
 def increasing_tuples(n, k):

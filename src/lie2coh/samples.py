@@ -6,7 +6,7 @@ module so runs are reproducible."""
 from fractions import Fraction
 import random
 
-from .numeric import Matrix, Q0, Q1
+from .numeric import Matrix, Q0
 from .liealg import LieAlgebra, Representation, validate_lie_algebra, _unit
 from .lie2 import (CrossedModuleAlg, TwoVectorSpace, validate_crossed_module,
                    xmod_from_quadruple)
@@ -157,22 +157,17 @@ def random_context(rng, max_dim=2):
     elif kind == "trivial":
         x = random_crossed_module(rng, max_dim)
         r = TwoRep.trivial(x, random_two_vector(rng, max_dim))
-    elif kind == "unit_v":
+    elif kind in ("unit_v", "unit_w"):
+        # W = 0 or V = 0, the other acted on by a representation killing mu(g)
         x = random_crossed_module(rng, max_dim)
-        dv = rng.randint(0, max_dim)
-        target = TwoVectorSpace(0, dv, Matrix.zero(dv, 0))
+        d = rng.randint(0, max_dim)
         mu_img = [x.mu.col(j) for j in range(x.g.dim)]
-        rho = _commuting_rep(rng, x.h, mu_img, dv)
-        r = TwoRep(x, target, [Matrix.zero(0, dv)] * x.g.dim,
-                   Representation.trivial(x.h, 0), rho)
-    elif kind == "unit_w":
-        x = random_crossed_module(rng, max_dim)
-        dw = rng.randint(0, max_dim)
-        target = TwoVectorSpace(dw, 0, Matrix.zero(0, dw))
-        mu_img = [x.mu.col(j) for j in range(x.g.dim)]
-        rho = _commuting_rep(rng, x.h, mu_img, dw)
-        r = TwoRep(x, target, [Matrix.zero(dw, 0)] * x.g.dim,
-                   rho, Representation.trivial(x.h, 0))
+        rho = _commuting_rep(rng, x.h, mu_img, d)
+        none = Representation.trivial(x.h, 0)
+        dw, dv = (0, d) if kind == "unit_v" else (d, 0)
+        r = TwoRep(x, TwoVectorSpace(dw, dv, Matrix.zero(dv, dw)),
+                   [Matrix.zero(dw, dv)] * x.g.dim,
+                   rho if dw else none, rho if dv else none)
     else:
         # pull a small representation back along a semidirect projection
         x0 = random_crossed_module(rng, max(0, max_dim - 1))
@@ -184,12 +179,9 @@ def random_context(rng, max_dim=2):
             small = TwoRep.trivial(x0, random_two_vector(
                 rng, max_dim - max(x0.g.dim, x0.h.dim)))
         x = semidirect_2alg(x0, small)
-        proj_g = Matrix.zero(x0.g.dim, x.g.dim)
-        for i in range(x0.g.dim):
-            proj_g.data[i][i] = Q1
-        proj_h = Matrix.zero(x0.h.dim, x.h.dim)
-        for i in range(x0.h.dim):
-            proj_h.data[i][i] = Q1
+        proj_g, proj_h = (
+            Matrix.identity(a).hstack(Matrix.zero(a, b - a))
+            for a, b in ((x0.g.dim, x.g.dim), (x0.h.dim, x.h.dim)))
         r = pullback_two_rep(small, x, proj_g, proj_h)
     assert not validate_two_rep(r)
     return x, r

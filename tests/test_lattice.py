@@ -2,8 +2,11 @@
 total differential, cohomology, and low-degree interpretations."""
 
 import hashlib
+import importlib.util
 import os
 import random
+import sys
+import types
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -858,8 +861,7 @@ def test_nabla4_pinned_by_sparse_hash(name):
 
 def test_component_matrix_refuses_bad_indices():
     """A negative index, a difference order on a kind that takes none, a
-    missing or out-of-range order and an unknown kind are ValueErrors, and
-    nothing is cached for them."""
+    missing or out-of-range order and an unknown kind are ValueErrors."""
     ctx = unit_context()
     for args in (("partial", -1, 0, 0), ("deltaR", 0, -1, 0),
                  ("delta1", 0, 0, -1), ("DeltaK", -1, 0, 1, 1),
@@ -869,10 +871,58 @@ def test_component_matrix_refuses_bad_indices():
                  ("nabla", 0, 0, 0)):
         with pytest.raises(ValueError):
             ctx.component_matrix(*args)
-    assert ctx.component_matrix("deltaR", 0, 0, 0) is \
+    assert ctx.component_matrix("deltaR", 0, 0, 0) == \
         ctx.component_matrix("deltaR", 0, 0, 0, None)
     assert ctx.component_matrix("DeltaK", 0, 0, 1, 1).rows == \
         ctx.cochain_dim(1, 1, 0)
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(ROOT, "bench", name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_no_component_is_built_twice(monkeypatch):
+    """No context builds a component twice, which is why none keeps them:
+    nabla reads each component once and caches nabla_n.  Checked on the
+    cohomology command over the benchmark problems at degrees 0-4,
+    nabla-check on a fixture, and the random-contexts operation
+    (bench/contexts.py) on 20 random contexts."""
+    from lie2coh import cli, ext, lattice
+    from lie2coh.samples import random_matrix
+    calls, contexts = [], []
+    original = LatticeContext.component_matrix
+
+    def recorded(ctx, *args, **kwargs):
+        contexts.append(ctx)    # alive, so no two contexts share an id
+        calls.append((id(ctx), args, tuple(sorted(kwargs.items()))))
+        return original(ctx, *args, **kwargs)
+
+    monkeypatch.setattr(LatticeContext, "component_matrix", recorded)
+    problems = os.path.join(ROOT, "bench", "problems")
+    for name in sorted(os.listdir(problems)):
+        for n in range(5):
+            assert cli.main(["cohomology", os.path.join(problems, name),
+                             "--degree", str(n)]) == 0
+    assert cli.main(["nabla-check", os.path.join(
+        ROOT, "tests", "fixtures", "adjoint_aff1.json")]) == 0
+    # bench/contexts.py imports bench/inputs.py by name
+    monkeypatch.setitem(sys.modules, "inputs", _bench_module("inputs"))
+    bench = _bench_module("contexts")
+    lib = types.SimpleNamespace(lattice=lattice, ext=ext)
+    rng = rng_from_seed(23)
+    for k in range(20):
+        x, rep = random_context(rng, 2)
+        dg, dh = x.g.dim, x.h.dim
+        dw, dv = rep.target.dim_w, rep.target.dim_v
+        slice_dim = dh * (dh - 1) // 2 * dv + dh * dg * dw + dv * dg
+        bench._run(lib, bench.Case(
+            k, x, rep, [rng.randint(-2, 2) for _ in range(slice_dim)],
+            random_matrix(rng, dv, dh, 1), random_matrix(rng, dw, dg, 1)))
+    assert calls and len(set(calls)) == len(calls)
 
 
 def _layout_contexts():

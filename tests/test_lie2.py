@@ -11,7 +11,7 @@ from lie2coh.liealg import (LieAlgebra, Representation, validate_lie_algebra,
 from lie2coh.lie2 import (CrossedModuleAlg, TwoVectorSpace,
                           validate_crossed_module, lie2_arrows,
                           xmod_from_quadruple, structure_report,
-                          nerve_algebra, simplicial_maps, face_matrix,
+                          nerve_algebra, face_matrix,
                           final_target_matrix, gl_phi)
 from lie2coh.tworep import twisted_semidirect
 from lie2coh.samples import (rng_from_seed, random_crossed_module,
@@ -162,6 +162,40 @@ def test_structure_report_random():
         assert rep["induced_action_well_defined"]
 
 
+def _greedy_orbit_basis(x):
+    """The columns of mu that are not in the span of those chosen before
+    them, one in_span test per column."""
+    chosen = []
+    for v in (x.mu.col(j) for j in range(x.g.dim)):
+        if any(c != 0 for c in v) and not in_span(chosen, v):
+            chosen.append(v)
+    return chosen
+
+
+def test_orbit_basis_matches_greedy_choice():
+    """structure_report's orbit basis, the pivot columns of mu, is the
+    greedy choice of independent columns: on 200 seeded crossed modules
+    (some with mu = 0, some with h = 0) and on 200 abelian ones whose mu
+    has dependent columns."""
+    seen = {"mu = 0": 0, "h = 0": 0, "dependent": 0}
+    rng = random.Random(7)
+    xmods = [random_crossed_module(rng_from_seed(seed), 3)
+             for seed in range(200)]
+    for _ in range(200):
+        dg, dh = rng.randint(0, 4), rng.randint(0, 3)
+        h = LieAlgebra.abelian(dh)
+        xmods.append(CrossedModuleAlg(LieAlgebra.abelian(dg), h,
+                                      random_matrix(rng, dh, dg, 1),
+                                      Representation.trivial(h, dg)))
+    for x in xmods:
+        want = _greedy_orbit_basis(x)
+        assert structure_report(x)["orbit_basis"] == want
+        seen["mu = 0"] += x.g.dim > 0 and x.mu.is_zero()
+        seen["h = 0"] += x.h.dim == 0
+        seen["dependent"] += 0 < len(want) < x.g.dim
+    assert all(seen.values()), seen
+
+
 def test_nerve_levels():
     x = ideal_inclusion_aff1()
     assert nerve_algebra(x, 0).brackets == x.h.brackets
@@ -292,23 +326,22 @@ def test_library_algebras_skip_the_checked_constructor(monkeypatch):
 
 def test_faces_level_zero():
     x = scalar_action_xmod()
-    faces, target = simplicial_maps(x, 0)
-    assert len(faces) == 2
+    faces = [face_matrix(x, 0, k) for k in range(2)]
     # s(x, y) = y and t(x, y) = y + mu(x)
     assert faces[0].data == [[0, 1]]
     assert faces[1].data == [[0, 1]]  # mu = 0 here
     y = ideal_inclusion_aff1()
-    faces, target = simplicial_maps(y, 0)
+    faces = [face_matrix(y, 0, k) for k in range(2)]
     assert faces[0].data == [[0, 1, 0], [0, 0, 1]]
     assert faces[1].data == [[0, 1, 0], [1, 0, 1]]
-    assert target == Matrix.identity(2)     # final target of g_0 = h
-    _, target1 = simplicial_maps(y, 1)
+    assert final_target_matrix(y, 0) == Matrix.identity(2)  # g_0 = h
+    target1 = final_target_matrix(y, 1)
     assert target1.data == [[0, 1, 0], [1, 0, 1]]
 
 
 def test_faces_merge_slot():
     x = ideal_inclusion_aff1()
-    faces, _ = simplicial_maps(x, 1)
+    faces = [face_matrix(x, 1, k) for k in range(3)]
     # k = 1 on (x0, x1; y) -> (x0 + x1; y)
     v = [Q1, Q0 + 2, Q0, Q1]  # x0 = 1, x1 = 2, y = (0, 1)
     assert faces[1].apply(v) == [3, 0, 1]

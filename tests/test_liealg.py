@@ -46,6 +46,17 @@ def test_change_basis_preserves_jacobi():
         assert validate_lie_algebra(g) == []
 
 
+def test_change_basis_keeps_integral_constants_as_ints():
+    """The re-based structure constants follow numeric's convention:
+    an integral value is an int, never a Fraction with denominator 1."""
+    for seed in range(200):
+        rng = rng_from_seed(seed)
+        for dim in (2, 3, 4):
+            g = random_lie_algebra(rng, dim)
+            assert not [c for vec in g.structure.values() for _, c in vec
+                        if isinstance(c, Fraction) and c.denominator == 1]
+
+
 def test_zero_action_valid():
     g = LieAlgebra.sl2()
     assert validate_representation(Representation.trivial(g, 2)) == []

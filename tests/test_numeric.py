@@ -1,10 +1,9 @@
 """Exact arithmetic, kernels, solving, and jet calculus."""
 
-import math
 import random
 from fractions import Fraction
 
-from lie2coh.numeric import (Matrix, Jet, jet_exp, rank, rank_and_kernel,
+from lie2coh.numeric import (Matrix, Jet, rank, rank_and_kernel,
                              solve_linear, rat)
 
 
@@ -92,43 +91,6 @@ def test_solve_linear_certifies_infeasible_random():
             assert rank(aug) == rank(m) + 1
         else:
             assert m.apply(x) == b
-
-
-def test_jet_exp_constant():
-    j = Jet.constant(0.7, 1, 2)
-    e = jet_exp(j)
-    assert abs(e.const - math.exp(0.7)) < 1e-14
-    assert abs(e.coefficient((1,))) < 1e-14
-
-
-def test_jet_exp_variable_order_two():
-    tau = Jet.variable(0, 1, 2)
-    e = jet_exp(tau)
-    assert abs(e.coefficient((0,)) - 1.0) < 1e-15
-    assert abs(e.coefficient((1,)) - 1.0) < 1e-15
-    assert abs(e.coefficient((2,)) - 0.5) < 1e-15
-
-
-def test_jet_exp_shifted():
-    a = 0.3
-    j = Jet.constant(a, 1, 1) + Jet.variable(0, 1, 1)
-    e = jet_exp(j)
-    assert abs(e.const - math.exp(a)) < 1e-14
-    assert abs(e.coefficient((1,)) - math.exp(a)) < 1e-14
-
-
-def test_jet_exp_homomorphism_on_scalars():
-    rng = random.Random(5)
-    for _ in range(30):
-        j = Jet(2, 2)
-        k = Jet(2, 2)
-        for key in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)):
-            j.coeffs[key] = rng.uniform(-1, 1)
-            k.coeffs[key] = rng.uniform(-1, 1)
-        lhs = jet_exp(j) * jet_exp(k)
-        rhs = jet_exp(j + k)
-        for key, val in rhs.coeffs.items():
-            assert abs(lhs.coefficient(key) - val) < 1e-12
 
 
 def test_jet_reciprocal():
