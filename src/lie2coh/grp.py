@@ -6,10 +6,13 @@ van Est operators.
 All derivatives run through jets (never finite differences); group
 elements are explicit matrices, GL(phi)-pairs, or additive vectors.
 
-``mexp`` and ``glphi1_exp`` sum one series, ``_series``, which stops at
-the first term that changes no entry of the sum (a float term t when
-o + t == o, a jet term when no coefficient is left; on a nilpotent jet
-after order + 1 terms) and after ``_SERIES_TERMS`` terms at most.  The
+``mexp`` of a float matrix is scaling and squaring with the [7/7] Pade
+approximant (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).  ``mexp``
+of a jet matrix and ``glphi1_exp`` sum one series, ``_series``, which
+stops at the first term that changes no entry of the sum (a float term t
+when o + t == o, a jet term when no coefficient is left; on a nilpotent
+jet after order + 1 terms) and after ``_SERIES_TERMS`` terms at most.
+Nerve points keep their arrow bases and final target once computed.  The
 group lattice maps are one table, ``_KINDS``: kind -> (pointwise formula,
 (dp, dq, dr) shift of the index), read by ``diff_cochain``.
 """
@@ -31,10 +34,7 @@ def mzero(r, c):
 
 
 def meye(n):
-    m = mzero(n, n)
-    for i in range(n):
-        m[i][i] = 1.0
-    return m
+    return [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
 
 
 def madd(a, b):
@@ -50,14 +50,19 @@ def mscale(a, c):
 
 
 def mmul(a, b):
-    cols = len(b[0]) if b else 0
+    """a b: entry (i, j) adds the a[i][k] b[k][j] with a[i][k] nonzero to
+    0.0 in the order of k."""
+    cols = list(zip(*b))
     out = []
     for row in a:
-        acc = [0.0] * cols
-        for x, brow in zip(row, b):
-            if x:
-                acc = [o + x * y for o, y in zip(acc, brow)]
-        out.append(acc)
+        terms = [(x, k) for k, x in enumerate(row) if x]
+        new = []
+        for col in cols:
+            acc = 0.0
+            for x, k in terms:
+                acc = acc + x * col[k]
+            new.append(acc)
+        out.append(new)
     return out
 
 
@@ -75,13 +80,25 @@ def _coefficient(x, key):
 
 
 def minv(a):
-    """Inverse by Gaussian elimination; jet entries pivot on the constant
-    part and divide through jet reciprocals."""
+    """Inverse by Gauss-Jordan elimination on [a | I]."""
     n = len(a)
-    work = [row[:] + eye_row[:] for row, eye_row in zip(a, meye(n))]
+    return _gauss_jordan([row + [1.0 if i == j else 0.0 for j in range(n)]
+                          for i, row in enumerate(a)])
+
+
+def _gauss_jordan(work):
+    """Reduce the n rows of [a | b] to [I | a^-1 b] and return a^-1 b.
+
+    Each column pivots on its first entry of largest absolute constant
+    part; jet entries divide through jet reciprocals."""
+    n = len(work)
     for col in range(n):
-        piv = max(range(col, n), key=lambda i: abs(_const_of(work[i][col])))
-        assert abs(_const_of(work[piv][col])) > 1e-12, "singular matrix"
+        piv, size = col, abs(_const_of(work[col][col]))
+        for i in range(col + 1, n):
+            other = abs(_const_of(work[i][col]))
+            if other > size:
+                piv, size = i, other
+        assert size > 1e-12, "singular matrix"
         work[col], work[piv] = work[piv], work[col]
         inv = work[col][col].reciprocal() if isinstance(work[col][col], Jet) \
             else 1.0 / work[col][col]
@@ -111,22 +128,64 @@ def _series(x, shift):
     term that changes no entry of the sum, after ``_SERIES_TERMS`` terms at
     most.
     """
-    out = meye(len(x))
-    term = meye(len(x))
+    out = term = meye(len(x))
     for k in range(1, _SERIES_TERMS + 1):
-        term = mscale(mmul(term, x), 1.0 / (k + shift))
-        if all(_absorbed(o, t) for row_o, row_t in zip(out, term)
-               for o, t in zip(row_o, row_t)):
+        c = 1.0 / (k + shift)
+        term, total, moved = mmul(term, x), [], False
+        for i, (row_o, row_p) in enumerate(zip(out, term)):
+            row_t = term[i] = [c * y for y in row_p]
+            moved = moved or not all(map(_absorbed, row_o, row_t))
+            total.append([o + t for o, t in zip(row_o, row_t)])
+        if not moved:
             break
-        out = madd(out, term)
+        out = total
     return out
 
 
+# the [7/7] Pade approximant of exp: numerator coefficients b_0 .. b_7
+# (the denominator's alternate in sign), and theta_7, the 1-norm up to
+# which it is accurate to double precision (Higham 2005, Table 2.3)
+_PADE7 = (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0,
+          56.0, 1.0)
+_THETA7 = 0.95
+
+
 def mexp(a):
-    """Matrix exponential by plain series (at most ``_SERIES_TERMS``); fine
-    at desk-scale norms and exact on jet matrices whose entries have zero
-    constant part."""
-    return _series(a, 0)
+    """Matrix exponential.
+
+    A float matrix goes through scaling and squaring with the [7/7] Pade
+    approximant (N. J. Higham, "The scaling and squaring method for the
+    matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26(4),
+    2005): a / 2^s has 1-norm at most theta_7, r = q^-1 p there, and
+    exp(a) = r^(2^s).  A matrix with a jet entry sums ``_series``, which
+    is exact on jet matrices whose entries have zero constant part.
+    """
+    if any(isinstance(x, Jet) for row in a for x in row):
+        return _series(a, 0)
+    norm = max((sum(abs(row[j]) for row in a) for j in range(len(a))),
+               default=0.0)
+    s = math.ceil(math.log2(norm / _THETA7)) if norm > _THETA7 else 0
+    if s:
+        a = mscale(a, 0.5 ** s)
+    b0, b1, b2, b3, b4, b5, b6, b7 = _PADE7
+    a2 = mmul(a, a)
+    a4 = mmul(a2, a2)
+    a6 = mmul(a4, a2)
+
+    def even(c6, c4, c2, c0):
+        return [[c6 * x6 + c4 * x4 + c2 * x2 + (c0 if i == j else 0.0)
+                 for j, (x6, x4, x2) in enumerate(zip(r6, r4, r2))]
+                for i, (r6, r4, r2) in enumerate(zip(a6, a4, a2))]
+
+    # p = v + u and q = v - u, with u the odd and v the even part
+    u = mmul(a, even(b7, b5, b3, b1))
+    v = even(b6, b4, b2, b0)
+    r = _gauss_jordan([[y - x for x, y in zip(u_row, v_row)]
+                       + [y + x for x, y in zip(u_row, v_row)]
+                       for u_row, v_row in zip(u, v)])
+    for _ in range(s):
+        r = mmul(r, r)
+    return r
 
 
 def vmax(v):
@@ -444,13 +503,19 @@ def trivial_group_rep(gx, dim_w, dim_v):
 
 class GpPoint:
     """A point of the nerve G_m: m composable arrows in the coordinates
-    (g_0, ..., g_{m-1}; h); arrow a is (g_a, h i(g_{m-1} ... g_{a+1}))."""
+    (g_0, ..., g_{m-1}; h); arrow a is (g_a, h i(g_{m-1} ... g_{a+1})).
 
-    __slots__ = ("gs", "h")
+    A point is never changed once built, and belongs to one group: its
+    geometry in that group, the arrow bases and the final target, is
+    computed on first use and kept in ``bases`` and ``target``."""
+
+    __slots__ = ("gs", "h", "bases", "target")
 
     def __init__(self, gs, h):
         self.gs = list(gs)
         self.h = h
+        self.bases = None
+        self.target = None
 
     @property
     def level(self):
@@ -459,8 +524,15 @@ class GpPoint:
 
 def gp_arrow_base(gx, pt, a):
     """The h-component of the a-th arrow of pt."""
-    return gx.mul_h(pt.h, gx.prod_h(gx.i(pt.gs[k]) for k
-                                    in range(len(pt.gs) - 1, a, -1)))
+    if pt.bases is None:
+        # arrow a's product prod_h(i(g_{m-1}), ..., i(g_{a+1})) is arrow
+        # a + 1's times one more factor on the right
+        m = len(pt.gs)
+        tails = [gx.one_h]
+        for k in range(m - 1, 0, -1):
+            tails.append(gx.mul_h(tails[-1], gx.i(pt.gs[k])))
+        pt.bases = [gx.mul_h(pt.h, t) for t in reversed(tails[:m])]
+    return pt.bases[a]
 
 
 def gp_arrow(gx, pt, a):
@@ -469,7 +541,9 @@ def gp_arrow(gx, pt, a):
 
 def gp_target(gx, pt):
     """Final target t_p: h i(g_{m-1} ... g_0)."""
-    return gx.mul_h(pt.h, gx.i(gx.prod_g(reversed(pt.gs))))
+    if pt.target is None:
+        pt.target = gx.mul_h(pt.h, gx.i(gx.prod_g(reversed(pt.gs))))
+    return pt.target
 
 
 def gp_face(gx, pt, k):

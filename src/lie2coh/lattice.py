@@ -529,11 +529,12 @@ class LatticeContext:
 
         def place(tgt_block, src_block, sign, kind, k=None):
             # the components out of one source block go to distinct target
-            # blocks, so each cell of nabla is written once
-            mat = self.component_matrix(kind, *src_block, k)
+            # blocks, so each cell of nabla is written once; a target block
+            # of dimension 0 has no cells, so its component is not built
             if tgt_block not in tgt_offs:
                 return
             c0 = src_offs[src_block]
+            mat = self.component_matrix(kind, *src_block, k)
             for i, row in enumerate(mat.sparse, tgt_offs[tgt_block]):
                 orow = out[i]
                 for j, x in row.items():

@@ -613,47 +613,47 @@ def test_malformed_input_exit_two(tmp_path, capsys, fixture, change,
 
 GOLDEN_GROUP_CHECKS = [
     (["glphi", "--dims", "2", "1"],
-     "CHECK glphi_action_automorphism: PASS residual 2.220e-16\n"
-     "CHECK glphi_equivariance: PASS residual 2.220e-16\n"
+     "CHECK glphi_action_automorphism: PASS residual 1.110e-16\n"
+     "CHECK glphi_equivariance: PASS residual 4.441e-16\n"
      "CHECK glphi_i_homomorphism: PASS residual 2.220e-16\n"
      "CHECK glphi_peiffer: PASS residual 2.220e-16\n"
      "CHECK glphi_right_action: PASS residual 1.110e-16\n"
-     "CHECK glphi_curvature: PASS residual 4.441e-16\n"),
+     "CHECK glphi_curvature: PASS residual 2.220e-16\n"),
     (["glphi", "--dims", "3", "2"],
      "CHECK glphi_action_automorphism: PASS residual 4.441e-16\n"
-     "CHECK glphi_equivariance: PASS residual 4.441e-16\n"
+     "CHECK glphi_equivariance: PASS residual 1.110e-15\n"
      "CHECK glphi_i_homomorphism: PASS residual 4.441e-16\n"
      "CHECK glphi_peiffer: PASS residual 3.331e-16\n"
      "CHECK glphi_right_action: PASS residual 3.331e-16\n"
-     "CHECK glphi_curvature: PASS residual 5.551e-16\n"),
+     "CHECK glphi_curvature: PASS residual 8.882e-16\n"),
     (["exp", "--dims", "2", "1"],
      "CHECK exp_one_parameter: PASS residual 3.331e-16\n"
-     "CHECK exp_delta_vs_matrix_exp: PASS residual 6.661e-16\n"),
+     "CHECK exp_delta_vs_matrix_exp: PASS residual 2.220e-16\n"),
     (["exp", "--dims", "3", "2"],
      "CHECK exp_one_parameter: PASS residual 4.441e-16\n"
-     "CHECK exp_delta_vs_matrix_exp: PASS residual 1.776e-15\n"),
+     "CHECK exp_delta_vs_matrix_exp: PASS residual 2.665e-15\n"),
     (["lie-functor"],
      "CHECK lie_functor_phi_identity: PASS residual 0.000e+00\n"
      "CHECK lie_functor_phi_projection: PASS residual 0.000e+00\n"
      "CHECK lie_functor_phi_zero_2x2: PASS residual 0.000e+00\n"),
     (["startop", "--dims", "2", "1"],
      "CHECK startop_r1: PASS residual 2.220e-16\n"
-     "CHECK startop_r2: PASS residual 9.714e-17\n"
+     "CHECK startop_r2: PASS residual 2.776e-17\n"
      "CHECK atsch_iv_p0q0: PASS residual 5.551e-17\n"
-     "CHECK atsch_v_p0q0: PASS residual 9.021e-17\n"
-     "CHECK atsch_iv_p0q1: PASS residual 6.939e-17\n"
+     "CHECK atsch_v_p0q0: PASS residual 3.469e-17\n"
+     "CHECK atsch_iv_p0q1: PASS residual 2.498e-16\n"
      "CHECK atsch_v_p0q1: PASS residual 1.041e-17\n"
      "CHECK atsch_iv_p1q0: PASS residual 5.551e-17\n"
-     "CHECK atsch_v_p1q0: PASS residual 1.665e-16\n"),
+     "CHECK atsch_v_p1q0: PASS residual 5.551e-17\n"),
     (["startop", "--dims", "3", "2"],
-     "CHECK startop_r1: PASS residual 4.441e-16\n"
-     "CHECK startop_r2: PASS residual 7.772e-16\n"
+     "CHECK startop_r1: PASS residual 3.469e-16\n"
+     "CHECK startop_r2: PASS residual 1.221e-15\n"
      "CHECK atsch_iv_p0q0: PASS residual 2.498e-16\n"
-     "CHECK atsch_v_p0q0: PASS residual 3.331e-16\n"
-     "CHECK atsch_iv_p0q1: PASS residual 8.327e-17\n"
-     "CHECK atsch_v_p0q1: PASS residual 3.608e-16\n"
-     "CHECK atsch_iv_p1q0: PASS residual 4.441e-16\n"
-     "CHECK atsch_v_p1q0: PASS residual 5.551e-16\n"),
+     "CHECK atsch_v_p0q0: PASS residual 2.220e-16\n"
+     "CHECK atsch_iv_p0q1: PASS residual 1.544e-16\n"
+     "CHECK atsch_v_p0q1: PASS residual 2.082e-16\n"
+     "CHECK atsch_iv_p1q0: PASS residual 1.527e-16\n"
+     "CHECK atsch_v_p1q0: PASS residual 3.331e-16\n"),
     (["vanest-heisenberg"],
      "Phi F on the basis = [[0, 1], [-1, 0]]\n"
      "CHECK vanest_phi_e1_e2: PASS residual 0.000e+00\n"

@@ -3,6 +3,7 @@ cochain relations, the 2-cocycle equations, and the van Est operators."""
 
 import math
 import random
+from fractions import Fraction
 
 from lie2coh.numeric import Matrix, Jet
 from lie2coh.lie2 import TwoVectorSpace
@@ -15,6 +16,7 @@ from lie2coh.grp import (glphi_group, glphi1_exp, additive_group,
                          startop_relation_residual, atsch_iv_residual,
                          atsch_v_residual, GroupCochain, diff_cochain,
                          GpPoint, gp_sample, gp_face, gp_mul, gp_target,
+                         gp_arrow_base,
                          VanEstCochain, van_est_r, van_est_phi,
                          mexp, mmul, mscale, residual, mzero, vmax, _vsub,
                          madd, meye)
@@ -428,12 +430,13 @@ def _uniform(rng, rows, cols):
 
 def test_series_matches_thirty_terms_on_floats():
     """Stopping once a term changes no entry gives the 30-term sums
-    exactly (same repr), for mexp and glphi1_exp."""
+    exactly (same repr), for the exponential series (which mexp sums on
+    jets) and glphi1_exp."""
     rng = random.Random(17)
     for _ in range(40):
         n = rng.randint(1, 4)
         a = _uniform(rng, n, n)
-        assert repr(mexp(a)) == repr(oracle_mexp(a)), a
+        assert repr(grp._series(a, 0)) == repr(oracle_mexp(a)), a
         dw, dv = rng.randint(1, 4), rng.randint(1, 4)
         a = _uniform(rng, dw, dv)
         phi = _uniform(rng, dv, dw)
@@ -496,3 +499,193 @@ def test_mexp_of_nilpotent_jet_stops_early(monkeypatch):
     # exp(a) = I + a + a^2 / 2 in the jet ring of order 2
     assert got[0][1].coefficient((1,)) == -1.0
     assert got[1][1].coefficient((2,)) == -1.0
+
+
+def _exact_exp(a, terms=80):
+    """The Taylor sum of exp(a) to x^terms / terms!, as Fractions.  The
+    float entries are dyadic, a = m / d with m an integer matrix, so the
+    sum is one integer matrix over d^terms terms!."""
+    n = len(a)
+    d = max([Fraction(x).denominator for row in a for x in row] + [1])
+    m = [[int(Fraction(x) * d) for x in row] for row in a]
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    total = [[0] * n for _ in range(n)]
+    for k in range(terms + 1):
+        weight = d ** (terms - k) * (math.factorial(terms)
+                                     // math.factorial(k))
+        total = [[t + weight * p for t, p in zip(rt, rp)]
+                 for rt, rp in zip(total, power)]
+        power = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)]
+                 for row in power]
+    den = d ** terms * math.factorial(terms)
+    return [[Fraction(t, den) for t in row] for row in total]
+
+
+def test_mexp_pade_matches_exact_exponential():
+    """mexp of a float matrix (scaling and squaring with the [7/7] Pade
+    approximant) is within 1e-14, relative to its largest entry, of the
+    exact 80-term Taylor sum at entry scales 0.3, 1 and 3 (1-norms up to
+    12, so up to four squarings).  exp(0) is the identity, and a matrix
+    with a jet entry sums the series."""
+    rng = random.Random(29)
+    for scale in (0.3, 1.0, 3.0):
+        for n in range(1, 5):
+            for _ in range(3):
+                a = [[rng.uniform(-scale, scale) for _ in range(n)]
+                     for _ in range(n)]
+                exact = _exact_exp(a)
+                big = max(abs(x) for row in exact for x in row)
+                err = max(abs(Fraction(g) - x)
+                          for rg, rx in zip(mexp(a), exact)
+                          for g, x in zip(rg, rx))
+                assert err <= Fraction(1e-14) * big, (scale, a, float(err))
+    for n in range(5):
+        assert mexp(mzero(n, n)) == meye(n)
+    tau = Jet.variable(0, 1, 2)
+    a = [[0.25, tau * 0.5], [-0.75, 0.0]]
+    assert repr(_spelled(mexp(a))) == repr(_spelled(grp._series(a, 0)))
+
+
+# The matrix kernels and the point geometry as they were before the
+# kernels were rewritten and the geometry kept on the point, kept as the
+# oracles of the rewrite, which changes no float operation or its order.
+
+def parent_meye(n):
+    m = mzero(n, n)
+    for i in range(n):
+        m[i][i] = 1.0
+    return m
+
+
+def parent_mmul(a, b):
+    cols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0.0] * cols
+        for x, brow in zip(row, b):
+            if x:
+                acc = [o + x * y for o, y in zip(acc, brow)]
+        out.append(acc)
+    return out
+
+
+def parent_minv(a):
+    n = len(a)
+    work = [row[:] + eye_row[:] for row, eye_row in zip(a, parent_meye(n))]
+    for col in range(n):
+        piv = max(range(col, n),
+                  key=lambda i: abs(grp._const_of(work[i][col])))
+        assert abs(grp._const_of(work[piv][col])) > 1e-12, "singular matrix"
+        work[col], work[piv] = work[piv], work[col]
+        inv = work[col][col].reciprocal() if isinstance(work[col][col], Jet) \
+            else 1.0 / work[col][col]
+        work[col] = [x * inv for x in work[col]]
+        for i in range(n):
+            if i != col:
+                f = work[i][col]
+                if f:
+                    work[i] = [x - f * y for x, y in zip(work[i], work[col])]
+    return [row[n:] for row in work]
+
+
+def parent_series(x, shift):
+    out = parent_meye(len(x))
+    term = parent_meye(len(x))
+    for k in range(1, 31):
+        term = mscale(parent_mmul(term, x), 1.0 / (k + shift))
+        if all(grp._absorbed(o, t) for row_o, row_t in zip(out, term)
+               for o, t in zip(row_o, row_t)):
+            break
+        out = madd(out, term)
+    return out
+
+
+def parent_gp_arrow_base(gx, pt, a):
+    return gx.mul_h(pt.h, gx.prod_h(gx.i(pt.gs[k]) for k
+                                    in range(len(pt.gs) - 1, a, -1)))
+
+
+def parent_gp_target(gx, pt):
+    return gx.mul_h(pt.h, gx.i(gx.prod_g(reversed(pt.gs))))
+
+
+def _spelled(m):
+    """A matrix (or nest of them) with each jet entry spelled out as its
+    type, shape and coefficients in insertion order, so that repr compares
+    jets by value."""
+    if isinstance(m, Jet):
+        return ("Jet", m.num_vars, m.order, list(m.coeffs.items()))
+    if isinstance(m, (list, tuple)):
+        return [_spelled(x) for x in m]
+    return m
+
+
+def _sparse_uniform(rng, rows, cols, scale=1.0):
+    """Uniform entries of which about a third are 0.0."""
+    return [[0.0 if rng.random() < 0.3 else rng.uniform(-scale, scale)
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def test_group_kernels_match_parent():
+    """mmul, meye, minv and the exponential series give what they gave
+    before the rewrite, to the last bit (same repr), on float matrices with
+    zeros (mmul also on non-square and empty shapes) and on nilpotent jet
+    matrices."""
+    rng = random.Random(31)
+    for n in range(6):
+        assert repr(meye(n)) == repr(parent_meye(n))
+    shapes = [(r, k, c) for r in range(5) for k in range(5)
+              for c in range(5)]
+    for r, k, c in shapes:
+        a, b = _sparse_uniform(rng, r, k), _sparse_uniform(rng, k, c)
+        assert repr(mmul(a, b)) == repr(parent_mmul(a, b)), (a, b)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        a = madd(meye(n), _sparse_uniform(rng, n, n, 0.5))
+        assert repr(grp.minv(a)) == repr(parent_minv(a)), a
+        a = _sparse_uniform(rng, n, n)
+        for shift in (0, 1):
+            assert repr(grp._series(a, shift)) == repr(parent_series(a, shift))
+        # small integer entries tie for the pivot: the first one wins
+        a = [[float(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        try:
+            want = repr(parent_minv(a))
+        except AssertionError:      # singular
+            continue
+        assert repr(grp.minv(a)) == want, a
+    for _ in range(30):
+        order = rng.randint(1, 3)
+        n = rng.randint(1, 3)
+        a = [[_nilpotent_jet(rng, 2, order) for _ in range(n)]
+             for _ in range(n)]
+        b = [[_nilpotent_jet(rng, 2, order) for _ in range(n)]
+             for _ in range(n)]
+        c, d = _uniform(rng, n, 2), _uniform(rng, 2, n)
+        for got, want in ((mmul(a, b), parent_mmul(a, b)),
+                          (mmul(a, c), parent_mmul(a, c)),
+                          (mmul(d, a), parent_mmul(d, a)),
+                          (grp.minv(madd(meye(n), a)),
+                           parent_minv(madd(meye(n), a))),
+                          (grp._series(a, 0), parent_series(a, 0)),
+                          (grp._series(a, 1), parent_series(a, 1))):
+            assert repr(_spelled(got)) == repr(_spelled(want))
+
+
+def test_point_geometry_matches_uncached():
+    """The arrow bases and the final target a point keeps are, to the last
+    bit, the ones computed afresh on each call, on GL(phi) points of levels
+    1-3; a second call returns the kept object."""
+    for dims in ((2, 1), (3, 2)):
+        gx = glphi_group(grp._phi_for_dims(dims[0], dims[1], 7))
+        rng = random.Random(37)
+        for level in (1, 2, 3):
+            for _ in range(4):
+                pt = gp_sample(gx, rng, level, 0.4)
+                bases = [gp_arrow_base(gx, pt, a) for a in range(level)]
+                assert repr(bases) == repr(
+                    [parent_gp_arrow_base(gx, pt, a) for a in range(level)])
+                assert all(gp_arrow_base(gx, pt, a) is base
+                           for a, base in enumerate(bases))
+                target = gp_target(gx, pt)
+                assert repr(target) == repr(parent_gp_target(gx, pt))
+                assert gp_target(gx, pt) is target

@@ -887,19 +887,22 @@ def _bench_module(name):
 
 def test_no_component_is_built_twice(monkeypatch):
     """No context builds a component twice, which is why none keeps them:
-    nabla reads each component once and caches nabla_n.  Checked on the
-    cohomology command over the benchmark problems at degrees 0-4,
-    nabla-check on a fixture, and the random-contexts operation
-    (bench/contexts.py) on 20 random contexts."""
+    nabla reads each component once and caches nabla_n.  Nor does it build
+    one whose target block has dimension 0: every component has rows.
+    Checked on the cohomology command over the benchmark problems at
+    degrees 0-4, nabla-check on a fixture, and the random-contexts
+    operation (bench/contexts.py) on 20 random contexts."""
     from lie2coh import cli, ext, lattice
     from lie2coh.samples import random_matrix
-    calls, contexts = [], []
+    calls, contexts, rows = [], [], []
     original = LatticeContext.component_matrix
 
     def recorded(ctx, *args, **kwargs):
         contexts.append(ctx)    # alive, so no two contexts share an id
         calls.append((id(ctx), args, tuple(sorted(kwargs.items()))))
-        return original(ctx, *args, **kwargs)
+        mat = original(ctx, *args, **kwargs)
+        rows.append(mat.rows)
+        return mat
 
     monkeypatch.setattr(LatticeContext, "component_matrix", recorded)
     problems = os.path.join(ROOT, "bench", "problems")
@@ -923,6 +926,7 @@ def test_no_component_is_built_twice(monkeypatch):
             k, x, rep, [rng.randint(-2, 2) for _ in range(slice_dim)],
             random_matrix(rng, dv, dh, 1), random_matrix(rng, dw, dg, 1)))
     assert calls and len(set(calls)) == len(calls)
+    assert min(rows) > 0
 
 
 def _layout_contexts():
