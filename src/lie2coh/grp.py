@@ -304,14 +304,6 @@ def glphi_group(v):
     def exp_g(vec):
         return glphi1_exp(unflatten_a(list(vec)), phi)
 
-    def exp_h(vec):
-        big = mzero(dw, dw)
-        small = mzero(dv, dv)
-        for c, (bf, bs) in zip(vec, h_basis):
-            big = madd(big, mscale(bf, c))
-            small = madd(small, mscale(bs, c))
-        return (mexp(big), mexp(small))
-
     def flatten_g(a):
         return [a[i][j] for i in range(dw) for j in range(dv)]
 
@@ -328,6 +320,13 @@ def glphi_group(v):
     def tangent_h(x, key):
         return mapply(left_inverse,
                       [_coefficient(e, key) for e in flatten_h(x)])
+
+    def exp_h(vec):
+        # sum_b vec_b h_basis[b], each entry summed from 0.0 in the order of b
+        flat = mmul([vec], chart_t)[0]
+        return (mexp([flat[i * dw:(i + 1) * dw] for i in range(dw)]),
+                mexp([flat[dw * dw + i * dv:dw * dw + (i + 1) * dv]
+                      for i in range(dv)]))
 
     gx = GroupXModData(dim_g, dim_h, mul_g, inv_g, mzero(dw, dv), mul_h,
                        inv_h, (meye(dw), meye(dv)), i_map, act, exp_g,

@@ -42,19 +42,28 @@ the identity), each kept as a table of its nonzero rows:
               x^0 indices, with G_T : I -> +-Lambda^q(face_0)(I without T)
               and Ins_T : J -> +-sort(T ++ J).
 
-``_assemble`` writes such a sum into {column: value} rows.  Every table is
-built once per context, in one factor cache, and shared by each (p, q, r)
-that uses it: the Lambda^q g_p* tables per (p, q) (the G_T per (p, q, k)),
-the Lambda^r g* tables per r and each coefficient map once.  The nerve
-brackets (``nerve_algebra``, from the structure constants) and the faces
-the tables are built from are cached there too.  As t e is mu e_a or e_b,
-rho0(t e) and Der(L_{t e}) are built for the mu e_a and the e_b only, and
-shared by every p.
+``_assemble`` adds such a sum, times a block sign, straight into the
+{column: value} rows it is given, at a row and a column offset.  Each
+table is built once and shared by every (p, q, r) that uses it, in one of
+two caches:
 
-Components and each nabla_n are ``SparseMatrix`` rows of their nonzeros.
-``nabla`` copies each component's rows to its block offsets and keeps
-only nabla_n, once per degree; ``nabla_squared_blocks`` multiplies the
-sparse rows, and ``total_cohomology`` hands nabla_{n-1} and nabla_n to
+* tables of the dimensions alone are shared by every context in the
+  process, in the bounded ``_shared`` cache keyed by dim g, dim h (or the
+  one dimension they read) and their indices: the spaces, the identities,
+  Ins_e on either factor, the Ins_T and the G_T (which read face 0 only),
+  and every face but the last;
+* tables that read mu, an action, phi or a bracket stay in the context's
+  own cache (``_factor``): the nerve brackets (``nerve_algebra``), the CE
+  tables of g_p and g, the partial tables (the last face reads mu), rho0,
+  Der, rho1 and phi.  As t e is mu e_a or e_b, rho0(t e) and Der(L_{t e})
+  are built for the mu e_a and the e_b only, and shared by every p.
+
+Each nabla_n is a ``SparseMatrix``, rows of its nonzeros.  ``nabla``
+assembles every component into its own rows at the block offsets, keeps
+no component and drops zeros once per row at the end; it keeps nabla_n,
+once per degree.  ``component_matrix`` assembles one component into
+fresh rows.  ``nabla_squared_blocks`` multiplies the sparse rows, and
+``total_cohomology`` hands nabla_{n-1} and nabla_n to
 ``numeric.cohomology``, so no dense nabla or kernel is built on the way to
 H^n.  Their ``data`` is a dense view, built only when read.
 
@@ -68,6 +77,7 @@ the restriction and the full unit lattice have the same H^n.
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .numeric import (Matrix, SparseMatrix, Space, Q0, cohomology, rank,
@@ -90,8 +100,23 @@ def _delta_sign(k, q, r):
 # nabla_n and the dense view (``data``) that the ladder's check reads, 160
 # MB of list slots before any entry object; no kernel is dense any more.
 # The benchmark builds at most 0.9M cells; the tests build a 13.6M-cell
-# nabla_3 and never view it dense.
+# nabla_3 and never view it dense.  The tables of the dimensions alone
+# outlive their context in the ``_shared`` cache, at most _SHARED_TABLES
+# of them; the tables that read a context's maps go with it.
 MAX_NABLA_CELLS = 20_000_000
+
+# The number of dimension-only tables kept across contexts: the 110
+# contexts of a random-contexts benchmark pass use 625 of them.
+_SHARED_TABLES = 1024
+
+
+@lru_cache(maxsize=_SHARED_TABLES)
+def _shared(build, *dims):
+    """build(*dims), once per process: for the tables and spaces that
+    depend on dimensions and indices alone, so every context shares
+    them, and no caller changes them.  Never for one that reads mu, an
+    action, phi or a bracket."""
+    return build(*dims)
 
 
 def _expand(args):
@@ -114,6 +139,11 @@ def _expand(args):
         if s:
             out.append((coeff * s, sorted_tup))
     return out
+
+
+def _positions(n, k):
+    """{t: position} over the increasing k-tuples of range(n)."""
+    return {t: i for i, t in enumerate(increasing_tuples(n, k))}
 
 
 def _sparse_from(vec):
@@ -155,11 +185,13 @@ def _tuple_table(images, pos):
     return table
 
 
-def _insertions(tuples, pos):
-    """{e: Ins_e}, Ins_e sending each tuple I that holds e to I without e,
-    with sign (-1)^(the position of e in I)."""
+def _insertions(n, k):
+    """{e: Ins_e} from the (k-1)- to the k-tuples of range(n), Ins_e
+    sending each tuple I that holds e to I without e, with sign (-1)^(the
+    position of e in I)."""
+    pos = _positions(n, k - 1)
     tables = {}
-    for i, I in enumerate(tuples):
+    for i, I in enumerate(increasing_tuples(n, k)):
         for at, e in enumerate(I):
             tables.setdefault(e, []).append(
                 (i, [(pos[I[:at] + I[at + 1:]], -1 if at % 2 else 1)]))
@@ -194,6 +226,38 @@ def _derivation(tuples, pos, cols):
     return _tuple_table(map(image, tuples), pos)
 
 
+def _identity(n):
+    return [(i, [(i, 1)]) for i in range(n)]
+
+
+def _shifts(n, r, k):
+    """{T: Ins_T} over the k-tuples T of range(n), Ins_T sending each
+    (r-k)-tuple J to sort(T ++ J) with its sign."""
+    pos = _positions(n, r)
+    return {T: _tuple_table((_expand([_usp(a) for a in T + J])
+                             for J in increasing_tuples(n, r - k)), pos)
+            for T in increasing_tuples(n, k)}
+
+
+def _difference_tables(dg, dh, p, q, k):
+    """{T: G_T} for Delta_k out of the g_p tuples of length q: G_T sends I
+    to (-1)^(sum S) Lambda^q(face_0)(I without I_S) at the positions S
+    with I_S = T."""
+    face0 = _shared(face_columns, dg, dh, p, 0, None)
+    pos = _positions(p * dg + dh, q)
+    rows = {}
+    for i, I in enumerate(increasing_tuples((p + 1) * dg + dh, q + k)):
+        # the x^0 indices, below dg, lead I
+        for subset in combinations(range(bisect_left(I, dg)), k):
+            T = tuple(I[t] for t in subset)
+            sign = -1 if sum(subset) % 2 else 1
+            rest = [face0[I[t]] for t in range(len(I)) if t not in subset]
+            entries = _row(((sign * c, t) for c, t in _expand(rest)), pos)
+            if entries:
+                rows.setdefault(T, []).append((i, entries))
+    return rows
+
+
 # (p, q, r) shift of the target of each component but DeltaK's
 _SHIFTS = {"deltaR": (0, 1, 0), "delta1": (0, 0, 1), "partial": (1, 0, 0)}
 
@@ -221,7 +285,6 @@ class LatticeContext:
         self.dv = rep.target.dim_v
         self.phi = rep.target.phi
         self._factors = {}
-        self._spaces = {}
         self._layouts = {}
         self._nablas = {}
 
@@ -229,7 +292,8 @@ class LatticeContext:
 
     def _factor(self, key, build):
         """The factor under key, built once per context and shared by
-        every component that uses it."""
+        every component that uses it: for the tables that read this
+        context's maps (the others are ``_shared``)."""
         if key not in self._factors:
             self._factors[key] = build()
         return self._factors[key]
@@ -241,11 +305,8 @@ class LatticeContext:
         return self._factor(("nerve", p), lambda: nerve_algebra(self.x, p))
 
     def space(self, p, q, r):
-        key = (p, q, r)
-        if key not in self._spaces:
-            coeff = self.dv if r == 0 else self.dw
-            self._spaces[key] = Space(p, q, r, self.gp_dim(p), self.dg, coeff)
-        return self._spaces[key]
+        return _shared(Space, p, q, r, self.gp_dim(p), self.dg,
+                       self.dw if r else self.dv)
 
     def cochain_dim(self, p, q, r):
         return self.space(p, q, r).total_dim
@@ -257,14 +318,11 @@ class LatticeContext:
 
         kind in {"deltaR", "delta1", "partial", "DeltaK"}; for DeltaK the
         difference order k with 1 <= k <= r is required, the other kinds
-        take none.  ValueError on a negative index.  Not cached: nabla
-        reads each component once and caches its own result.
+        take none.  ValueError on a negative index.  Assembled into fresh
+        rows and not cached; nabla does not call it, but assembles each
+        component into its own rows.
         """
-        terms_of = {"deltaR": self._delta_r_terms,
-                    "delta1": self._delta_one_terms,
-                    "partial": self._partial_terms,
-                    "DeltaK": self._delta_k_terms}
-        if kind not in terms_of:
+        if kind not in self._TERMS:
             raise ValueError("unknown component kind %r" % (kind,))
         if min(p, q, r) < 0:
             raise ValueError("negative lattice index (%d, %d, %d)"
@@ -281,50 +339,47 @@ class LatticeContext:
             shift = _SHIFTS[kind]
         src = self.space(p, q, r)
         tgt = self.space(p + shift[0], q + shift[1], r + shift[2])
-        terms = terms_of[kind](src, tgt, k) \
-            if src.total_dim and tgt.total_dim else []
-        return self._assemble(src, tgt, terms)
-
-    @staticmethod
-    def _assemble(src, tgt, terms):
-        """The component sum_t sign_t G_t (x) H_t (x) K_t as {column: value}
-        rows.
-
-        Each term is (sign, G, H, K): G on the g_p tuples, H on the g
-        tuples, K on the coefficients (None for the identity), each as a
-        table of its nonzero rows (see _table)."""
         rows = [{} for _ in range(tgt.total_dim)]
-        dt, ds = tgt.coeff_dim, src.coeff_dim
-        nt, ns = len(tgt.g_tuples), len(src.g_tuples)
-        for sign, gp_table, g_table, coeff in terms:
-            # per target g tuple: (source column offset, signed value)
-            g_side = [(j, [(j_in * ds, sign * c) for j_in, c in entries])
-                      for j, entries in g_table]
-            for i, entries in gp_table:
-                gp_side = [(i_in * ns * ds, c) for i_in, c in entries]
-                for j, g_entries in g_side:
-                    row0 = (i * nt + j) * dt
-                    for off1, c1 in gp_side:
-                        for off2, c2 in g_entries:
-                            col0 = off1 + off2
-                            val = c1 * c2
-                            if coeff is None:
-                                for a in range(dt):
-                                    row = rows[row0 + a]
-                                    b = col0 + a
-                                    row[b] = row.get(b, 0) + val
-                            else:
-                                for a, pairs in coeff:
-                                    row = rows[row0 + a]
-                                    for b, x in pairs:
-                                        b += col0
-                                        row[b] = row.get(b, 0) + val * x
+        if src.total_dim and tgt.total_dim:
+            self._assemble(rows, 0, 0, src, tgt, kind, k, 1)
         return SparseMatrix(tgt.total_dim, src.total_dim,
                             [_nonzero(row) if row else row for row in rows])
 
-    def _identity(self, n):
-        return self._factor(("identity", n),
-                            lambda: [(i, [(i, 1)]) for i in range(n)])
+    def _assemble(self, rows, row0, col0, src, tgt, kind, k, sign):
+        """Add sign times the component of the kind (and order k) out of
+        src, sum_t sign_t G_t (x) H_t (x) K_t, into rows: its entry (i, j)
+        to rows[row0 + i] at column col0 + j.  The rows keep any zero sum.
+
+        Each term is (sign_t, G, H, K): G on the g_p tuples, H on the g
+        tuples, K on the coefficients (None for the identity), each as a
+        table of its nonzero rows (see _table)."""
+        dt, ds = tgt.coeff_dim, src.coeff_dim
+        nt, ns = len(tgt.g_tuples), len(src.g_tuples)
+        for term_sign, gp_table, g_table, coeff in \
+                self._TERMS[kind](self, src, tgt, k):
+            # per target g tuple: (source column offset, signed value)
+            g_side = [(j, [(j_in * ds, sign * term_sign * c)
+                           for j_in, c in entries])
+                      for j, entries in g_table]
+            for i, entries in gp_table:
+                gp_side = [(col0 + i_in * ns * ds, c) for i_in, c in entries]
+                for j, g_entries in g_side:
+                    row0_ij = row0 + (i * nt + j) * dt
+                    for off1, c1 in gp_side:
+                        for off2, c2 in g_entries:
+                            col = off1 + off2
+                            val = c1 * c2
+                            if coeff is None:
+                                for a in range(dt):
+                                    row = rows[row0_ij + a]
+                                    b = col + a
+                                    row[b] = row.get(b, 0) + val
+                            else:
+                                for a, pairs in coeff:
+                                    row = rows[row0_ij + a]
+                                    for b, x in pairs:
+                                        b += col
+                                        row[b] = row.get(b, 0) + val * x
 
     def _on_targets(self, key, rep, table):
         """(table(rep(mu e_a)) per basis vector e_a of g, table(rep(e_b))
@@ -339,9 +394,8 @@ class LatticeContext:
         """Sum_e Ins_e (x) 1 (x) rho0(t e) - sum_e Ins_e (x) Der(L_{t e})
         (x) 1 + CE(g_p) (x) 1 (x) 1, over the basis e of g_p."""
         p, q, r = src.p, src.q, src.r
-        ins = self._factor(("gp_ins", p, q),
-                           lambda: _insertions(tgt.gp_tuples, src.gp_pos))
-        ident = self._identity(len(src.g_tuples))
+        ins = _shared(_insertions, self.gp_dim(p), q + 1)
+        ident = _shared(_identity, len(src.g_tuples))
         g_part, h_part = self._on_targets(
             ("rho0", bool(r)), self.rep.rho0_w if r else self.rep.rho0_v,
             _table)
@@ -369,9 +423,8 @@ class LatticeContext:
         else:
             coeff = self._factor(("rho1",), lambda: [
                 _table(m) for m in self.rep.rho1])
-        ins = self._factor(("g_ins", r),
-                           lambda: _insertions(tgt.g_tuples, src.g_pos))
-        ident = self._identity(len(src.gp_tuples))
+        ins = _shared(_insertions, self.dg, r + 1)
+        ident = _shared(_identity, len(src.gp_tuples))
         terms = [(1, ident, ins[j], coeff[j]) for j in ins if coeff[j]]
         ce = self._factor(("g_ce", r), lambda: _ce_table(
             tgt.g_tuples, src.g_pos, self.x.g.structure))
@@ -384,7 +437,10 @@ class LatticeContext:
         p, q = src.p, src.q
 
         def build():
-            faces = [self._face_columns(p, i) for i in range(p + 2)]
+            # only the last face reads mu
+            faces = [_shared(face_columns, self.dg, self.dh, p, i, None)
+                     for i in range(p + 1)] + [face_columns(
+                         self.dg, self.dh, p, p + 1, self.x.mu)]
 
             def image(I):
                 for i, face in enumerate(faces):
@@ -394,7 +450,7 @@ class LatticeContext:
             return _tuple_table(map(image, tgt.gp_tuples), src.gp_pos)
 
         table = self._factor(("gp_partial", p, q), build)
-        return [(1, table, self._identity(len(src.g_tuples)), None)] \
+        return [(1, table, _shared(_identity, len(src.g_tuples)), None)] \
             if table else []
 
     def _delta_k_terms(self, src, tgt, k):
@@ -403,12 +459,8 @@ class LatticeContext:
         I_S) at the positions S with I_S = T, Ins_T sends J to sort(T ++ J)
         with its sign."""
         p, q, r = src.p, src.q, src.r
-        gp = self._factor(("gp_delta", p, q, k),
-                          lambda: self._difference_tables(src, tgt, k))
-        ins = self._factor(("g_shift", r, k), lambda: {
-            T: _tuple_table((_expand([_usp(a) for a in T + J])
-                             for J in tgt.g_tuples), src.g_pos)
-            for T in increasing_tuples(self.dg, k)})
+        gp = _shared(_difference_tables, self.dg, self.dh, p, q, k)
+        ins = _shared(_shifts, self.dg, r, k)
         coeff = None
         if r == k:
             coeff = self._factor(("phi",), lambda: _table(self.phi))
@@ -417,27 +469,8 @@ class LatticeContext:
         return [(1, table, ins[T], coeff) for T, table in gp.items()
                 if ins[T]]
 
-    def _difference_tables(self, src, tgt, k):
-        """{T: G_T} for Delta_k out of the g_p tuples of src."""
-        face0 = self._face_columns(src.p, 0)
-        dg = self.dg
-        rows = {}
-        for i, I in enumerate(tgt.gp_tuples):
-            # the x^0 indices, below dg, lead I
-            for subset in combinations(range(bisect_left(I, dg)), k):
-                T = tuple(I[t] for t in subset)
-                sign = -1 if sum(subset) % 2 else 1
-                rest = [face0[I[t]] for t in range(len(I))
-                        if t not in subset]
-                entries = _row(((sign * c, t) for c, t in _expand(rest)),
-                               src.gp_pos)
-                if entries:
-                    rows.setdefault(T, []).append((i, entries))
-        return rows
-
-    def _face_columns(self, p, k):
-        return self._factor(("face", p, k),
-                            lambda: face_columns(self.x, p, k))
+    _TERMS = {"deltaR": _delta_r_terms, "delta1": _delta_one_terms,
+              "partial": _partial_terms, "DeltaK": _delta_k_terms}
 
     # -- total differential and cohomology -----------------------------------
 
@@ -527,28 +560,24 @@ class LatticeContext:
                                 MAX_NABLA_CELLS))
         out = [{} for _ in range(tgt_dim)]
 
-        def place(tgt_block, src_block, sign, kind, k=None):
+        def place(tgt_block, sign, kind, k=None):
             # the components out of one source block go to distinct target
-            # blocks, so each cell of nabla is written once; a target block
-            # of dimension 0 has no cells, so its component is not built
-            if tgt_block not in tgt_offs:
-                return
-            c0 = src_offs[src_block]
-            mat = self.component_matrix(kind, *src_block, k)
-            for i, row in enumerate(mat.sparse, tgt_offs[tgt_block]):
-                orow = out[i]
-                for j, x in row.items():
-                    orow[c0 + j] = x if sign > 0 else -x
+            # blocks and those of distinct source blocks to distinct
+            # columns, so each cell of nabla is one component's; a target
+            # block of dimension 0 has no cells, so nothing is assembled
+            if tgt_block in tgt_offs:
+                self._assemble(out, tgt_offs[tgt_block], col0, src,
+                               self.space(*tgt_block), kind, k, sign)
 
-        for (p, q, r) in self.degree_blocks(n):
-            src = (p, q, r)
-            place((p, q + 1, r), src, 1, "deltaR")
-            place((p, q, r + 1), src, -1 if q % 2 else 1, "delta1")
-            place((p + 1, q, r), src, -1 if (q + r) % 2 else 1, "partial")
+        for (p, q, r), col0 in src_offs.items():
+            src = self.space(p, q, r)
+            place((p, q + 1, r), 1, "deltaR")
+            place((p, q, r + 1), -1 if q % 2 else 1, "delta1")
+            place((p + 1, q, r), -1 if (q + r) % 2 else 1, "partial")
             for k in range(1, r + 1):
-                place((p + 1, q + k, r - k), src, _delta_sign(k, q, r),
-                      "DeltaK", k)
-        self._nablas[n] = SparseMatrix(tgt_dim, src_dim, out)
+                place((p + 1, q + k, r - k), _delta_sign(k, q, r), "DeltaK", k)
+        self._nablas[n] = SparseMatrix(
+            tgt_dim, src_dim, [_nonzero(row) if row else row for row in out])
         return self._nablas[n]
 
     def nabla_squared_blocks(self, n):

@@ -279,16 +279,16 @@ def nerve_algebra(x, p):
     return LieAlgebra._of(d, structure)
 
 
-def face_columns(x, p, k):
-    """The k-th face g_{p+1} -> g_p, 0 <= k <= p+1, as sparse columns.
+def face_columns(dg, dh, p, k, mu):
+    """The k-th face g_{p+1} -> g_p, 0 <= k <= p+1, as sparse columns, for
+    dim g = dg and dim h = dh (mu may be None below the last face).
 
     g-slot s of the source goes to slot s below the face (s < k) and to
     slot s - 1 from the face on, so slots k - 1 and k meet and the face 0
     drops slot 0; the h-slot is copied, and the last face sends g-slot p
-    into it by mu."""
+    into it by the matrix mu, which no other face reads."""
     assert 0 <= k <= p + 1
-    dg, dh = x.g.dim, x.h.dim
-    mu = sparse_columns(x.mu) if k == p + 1 else None
+    mu = sparse_columns(mu) if k == p + 1 else None
     cols = []
     for s in range(p + 1):
         for a in range(dg):
@@ -303,7 +303,7 @@ def face_columns(x, p, k):
 
 def face_matrix(x, p, k):
     """The k-th face g_{p+1} -> g_p, 0 <= k <= p+1, as a matrix."""
-    cols = face_columns(x, p, k)
+    cols = face_columns(x.g.dim, x.h.dim, p, k, x.mu)
     m = Matrix.zero(p * x.g.dim + x.h.dim, len(cols))
     for c, col in enumerate(cols):
         for r, v in col:

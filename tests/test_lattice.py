@@ -886,25 +886,26 @@ def _bench_module(name):
 
 
 def test_no_component_is_built_twice(monkeypatch):
-    """No context builds a component twice, which is why none keeps them:
-    nabla reads each component once and caches nabla_n.  Nor does it build
-    one whose target block has dimension 0: every component has rows.
-    Checked on the cohomology command over the benchmark problems at
-    degrees 0-4, nabla-check on a fixture, and the random-contexts
-    operation (bench/contexts.py) on 20 random contexts."""
+    """No context assembles a component, a (source block, kind, k), twice,
+    which is why none keeps them: nabla assembles each component once,
+    into its own rows, and caches nabla_n.  Nor does it assemble one whose
+    target block has dimension 0: every component has rows.  Checked at
+    the one assembly point, LatticeContext._assemble, on the cohomology
+    command over the benchmark problems at degrees 0-4, nabla-check on a
+    fixture, and the random-contexts operation (bench/contexts.py) on 20
+    random contexts."""
     from lie2coh import cli, ext, lattice
     from lie2coh.samples import random_matrix
     calls, contexts, rows = [], [], []
-    original = LatticeContext.component_matrix
+    original = LatticeContext._assemble
 
-    def recorded(ctx, *args, **kwargs):
+    def recorded(ctx, out, row0, col0, src, tgt, kind, k, sign):
         contexts.append(ctx)    # alive, so no two contexts share an id
-        calls.append((id(ctx), args, tuple(sorted(kwargs.items()))))
-        mat = original(ctx, *args, **kwargs)
-        rows.append(mat.rows)
-        return mat
+        calls.append((id(ctx), (src.p, src.q, src.r), kind, k))
+        rows.append(tgt.total_dim)
+        return original(ctx, out, row0, col0, src, tgt, kind, k, sign)
 
-    monkeypatch.setattr(LatticeContext, "component_matrix", recorded)
+    monkeypatch.setattr(LatticeContext, "_assemble", recorded)
     problems = os.path.join(ROOT, "bench", "problems")
     for name in sorted(os.listdir(problems)):
         for n in range(5):
@@ -927,6 +928,82 @@ def test_no_component_is_built_twice(monkeypatch):
             random_matrix(rng, dv, dh, 1), random_matrix(rng, dw, dg, 1)))
     assert calls and len(set(calls)) == len(calls)
     assert min(rows) > 0
+
+
+def _placed_components(ctx, n):
+    """nabla_n as its component matrices, each copied to its block offsets
+    with nabla's sign: the total differential built component by
+    component."""
+    src_offs, src_dim = ctx.block_offsets(n)
+    tgt_offs, tgt_dim = ctx.block_offsets(n + 1)
+    out = [{} for _ in range(tgt_dim)]
+    for (p, q, r), col0 in src_offs.items():
+        parts = [((p, q + 1, r), 1, "deltaR", None),
+                 ((p, q, r + 1), -1 if q % 2 else 1, "delta1", None),
+                 ((p + 1, q, r), -1 if (q + r) % 2 else 1, "partial", None)]
+        parts += [((p + 1, q + k, r - k), _delta_sign(k, q, r), "DeltaK", k)
+                  for k in range(1, r + 1)]
+        for tgt, sign, kind, k in parts:
+            if tgt in tgt_offs:
+                mat = ctx.component_matrix(kind, p, q, r, k)
+                for i, row in enumerate(mat.sparse, tgt_offs[tgt]):
+                    for j, x in row.items():
+                        out[i][col0 + j] = x if sign > 0 else -x
+    return SparseMatrix(tgt_dim, src_dim, out)
+
+
+def _rows_repr(m):
+    """The shape and the entries of m in row and insertion order, with
+    their int or Fraction types."""
+    return repr((m.rows, m.cols, [list(row.items()) for row in m.sparse]))
+
+
+def test_nabla_is_its_components_placed():
+    """nabla_n, assembled in one pass, is its component matrices placed at
+    their block offsets with nabla's signs, entry for entry and type for
+    type, at degrees 0-4: on every benchmark problem and on 20 random
+    contexts."""
+    problems = os.path.join(ROOT, "bench", "problems")
+    contexts = [load_problem(os.path.join(problems, name)).context()
+                for name in sorted(os.listdir(problems))]
+    rng = rng_from_seed(29)
+    contexts += [LatticeContext(*random_context(rng, 2)) for _ in range(20)]
+    for ctx in contexts:
+        for n in range(5):
+            assert _rows_repr(ctx.nabla(n)) == \
+                _rows_repr(_placed_components(ctx, n)), n
+
+
+def test_shared_tables_never_leak_between_contexts():
+    """The tables shared across contexts are those of the dimensions
+    alone: contexts with equal dim g and dim h but other mu, actions, rho
+    and dim W, dim V, built one after another in either order, each have
+    the nabla they have when built after the shared cache is cleared."""
+    from lie2coh import lattice
+    g, h = LieAlgebra.abelian(1), LieAlgebra.abelian(2)
+    # mu injective on an abelian h forces the zero action
+    x_mu = CrossedModuleAlg(g, h, Matrix(2, 1, [[1], [0]]),
+                            Representation(h, 1, [Matrix.zero(1, 1)] * 2))
+    x_zero = CrossedModuleAlg(g, h, Matrix.zero(2, 1), Representation(
+        h, 1, [Matrix(1, 1, [[1]]), Matrix.zero(1, 1)]))
+    reps = [adjoint_rep(x_mu), adjoint_rep(x_zero),
+            TwoRep.trivial(x_zero, TwoVectorSpace(2, 1, Matrix(1, 2,
+                                                               [[1, 0]])))]
+
+    def nablas(rep):
+        ctx = LatticeContext(rep.source, rep)
+        return [_rows_repr(ctx.nabla(n)) for n in range(4)]
+
+    alone = []
+    for rep in reps:
+        lattice._shared.cache_clear()
+        alone.append(nablas(rep))
+    assert len(set(map(tuple, alone))) == len(reps)
+    for order in (reps, reps[::-1]):
+        lattice._shared.cache_clear()
+        for rep in order:
+            assert nablas(rep) == alone[reps.index(rep)]
+    lattice._shared.cache_clear()
 
 
 def _layout_contexts():
