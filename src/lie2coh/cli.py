@@ -20,7 +20,7 @@ from .tworep import TwoRep, validate_two_rep
 from .lattice import LatticeContext, trivial_cohomology_dim
 from .ext import (TwoCocycle, extension_from_cocycle, canonical_splitting,
                   cocycle_from_extension, coboundary_solve)
-from .samples import rng_from_seed, random_context
+from .samples import rng_from_seed, random_context, random_matrix
 from . import grp
 
 
@@ -80,6 +80,16 @@ def _parse_matrix(data, rows, cols, where):
     return Matrix(rows, cols, out)
 
 
+def _parse_matrices(data, count, rows, cols, where, count_where=None):
+    """A list of count rows x cols matrices; where names it, and
+    count_where, if given, names it in the count message."""
+    if len(_as_list(data, where)) != count:
+        raise InputError("%s: expected %d matrices"
+                         % (count_where or where, count))
+    return [_parse_matrix(m, rows, cols, "%s[%d]" % (where, k))
+            for k, m in enumerate(data)]
+
+
 def _parse_algebra(data, where):
     dim = _as_object(data, where).get("dim")
     if not isinstance(dim, int) or dim < 0:
@@ -117,14 +127,9 @@ class ProblemFile:
             h = _parse_algebra(sec.get("h", {}), "lie2algebra.h")
             mu = _parse_matrix(sec.get("mu", []), h.dim, g.dim,
                                "lie2algebra.mu")
-            mats = _as_list(sec.get("action", []), "lie2algebra.action")
-            if len(mats) != h.dim:
-                raise InputError("lie2algebra.action: expected %d matrices"
-                                 % h.dim)
-            action = Representation(
-                h, g.dim, [_parse_matrix(m, g.dim, g.dim,
-                                         "lie2algebra.action[%d]" % k)
-                           for k, m in enumerate(mats)])
+            action = Representation(h, g.dim, _parse_matrices(
+                sec.get("action", []), h.dim, g.dim, g.dim,
+                "lie2algebra.action"))
             self.xmod = CrossedModuleAlg(g, h, mu, action)
         if "two_vector" in raw:
             sec = _as_object(raw["two_vector"], "two_vector")
@@ -139,21 +144,13 @@ class ProblemFile:
                 raise InputError("two_rep needs lie2algebra and two_vector")
             sec = _as_object(raw["two_rep"], "two_rep")
             x, t = self.xmod, self.two_vector
-            rho1 = [_parse_matrix(m, t.dim_w, t.dim_v, "two_rep.rho1[%d]" % k)
-                    for k, m in enumerate(_as_list(sec.get("rho1", []),
-                                                   "two_rep.rho1"))]
-            if len(rho1) != x.g.dim:
-                raise InputError("two_rep.rho1: expected %d matrices"
-                                 % x.g.dim)
-            r0w = [_parse_matrix(m, t.dim_w, t.dim_w, "two_rep.rho0_W[%d]" % k)
-                   for k, m in enumerate(_as_list(sec.get("rho0_W", []),
-                                                  "two_rep.rho0_W"))]
-            r0v = [_parse_matrix(m, t.dim_v, t.dim_v, "two_rep.rho0_V[%d]" % k)
-                   for k, m in enumerate(_as_list(sec.get("rho0_V", []),
-                                                  "two_rep.rho0_V"))]
-            if len(r0w) != x.h.dim or len(r0v) != x.h.dim:
-                raise InputError("two_rep.rho0_W/rho0_V: expected %d matrices"
-                                 % x.h.dim)
+            rho1 = _parse_matrices(sec.get("rho1", []), x.g.dim, t.dim_w,
+                                   t.dim_v, "two_rep.rho1")
+            r0w, r0v = (_parse_matrices(sec.get(key, []), x.h.dim, dim, dim,
+                                        "two_rep." + key,
+                                        "two_rep.rho0_W/rho0_V")
+                        for key, dim in (("rho0_W", t.dim_w),
+                                         ("rho0_V", t.dim_v)))
             self.two_rep = TwoRep(x, t, rho1,
                                   Representation(x.h, t.dim_w, r0w),
                                   Representation(x.h, t.dim_v, r0v))
@@ -265,7 +262,7 @@ def cmd_cohomology(args):
     ctx = pf.context()
     bad_blocks = []
     with _refusal_as_input_error():
-        # H^N needs nabla_n nabla_{n-1} = 0 for 1 <= n <= N only
+        # H^N needs nabla_N nabla_{N-1} = 0; the lower ones guard nabla^2 = 0
         for n in range(args.degree):
             bad_blocks.extend(ctx.nabla_squared_blocks(n))
         dim, _ = ctx.total_cohomology(args.degree)
@@ -398,16 +395,10 @@ def cmd_split(args):
     ext = extension_from_cocycle(coc)
     sigma0, sigma1 = canonical_splitting(ext)
     if args.perturb:
+        # sigma + include lambda is again a splitting
         rng = rng_from_seed(args.perturb)
-        from .samples import random_matrix
-        lam0 = random_matrix(rng, ctx.dv, ctx.dh, 1)
-        lam1 = random_matrix(rng, ctx.dw, ctx.dg, 1)
-        for b in range(ctx.dh):
-            for i in range(ctx.dv):
-                sigma0.data[ctx.x.h.dim + i][b] += lam0.data[i][b]
-        for a in range(ctx.dg):
-            for i in range(ctx.dw):
-                sigma1.data[ctx.x.g.dim + i][a] += lam1.data[i][a]
+        sigma0 += ext.include_v * random_matrix(rng, ctx.dv, ctx.dh, 1)
+        sigma1 += ext.include_w * random_matrix(rng, ctx.dw, ctx.dg, 1)
     rep2, extracted = cocycle_from_extension(ext, sigma0, sigma1,
                                              base_x=ctx.x)
     _check(report, "extracted_cocycle_valid", not extracted.validate())
@@ -464,9 +455,11 @@ def cmd_group_checks(args):
         raise InputError("--dims entries must be at least 1, got %d %d"
                          % tuple(args.dims))
     seed = default_seed(args)
-    kwargs = {"trials": args.trials, "seed": seed, "tol": args.tolerance}
+    kwargs = {"trials": args.trials, "seed": seed}
     if args.dims:
         kwargs["dims"] = tuple(args.dims)
+    if args.tolerance is not None:      # else the scenario's own
+        kwargs["tol"] = args.tolerance
     fn = grp.SCENARIOS[args.scenario]
     rows = fn(**kwargs)
     report = []
@@ -524,7 +517,7 @@ def build_parser():
     p.add_argument("--dims", type=int, nargs=2, default=None)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=None)
     p.set_defaults(fn=cmd_group_checks)
     return parser
 

@@ -152,54 +152,47 @@ def cocycle_from_extension(e, sigma0, sigma1, base_x=None):
     """Extract (TwoRep, TwoCocycle) from an extension and linear sections.
 
     sigma0: h -> e_0 and sigma1: g -> e_1 must satisfy project o sigma = id.
-    The induced representation is rho0^0(y) v = [sigma0 y, v], rho0^1(y) w
-    = L_{sigma0 y} w, rho1(x) v = -L_v sigma1(x); the cocycle components
-    are omega0(y0,y1) = sigma0[y0,y1] - [sigma0 y0, sigma0 y1],
-    alpha(y;x) = sigma1(L_y x) - L_{sigma0 y} sigma1(x) and
-    phimap(x) = eps(sigma1 x) - sigma0(mu x).
+    Each map is read off as the coordinates (coords_W, coords_V) of a
+    matrix of the extension along the inclusions j_W: W -> e_1 and
+    j_V: V -> e_0, with L the action and eps the map e_1 -> e_0:
+    rho0^1(e_b) = coords_W(L_{sigma0 e_b} j_W), rho0^0(e_b) v =
+    [sigma0 e_b, v], rho1(x) v = -L_v sigma1(x), phi = coords_V(eps j_W);
+    omega0(y0,y1) = sigma0[y0,y1] - [sigma0 y0, sigma0 y1],
+    alpha(e_b; .) = coords_W(sigma1 L_b - L_{sigma0 e_b} sigma1) and
+    phimap = coords_V(eps sigma1 - sigma0 mu) on g.
     """
-    total = e.total
-    pi1, pi0 = e.project_g, e.project_h
-    j1, j0 = e.include_w, e.include_v
-    dg, dh = pi1.rows, pi0.rows
-    dw, dv = j1.cols, j0.cols
-    assert (pi0 * sigma0 - Matrix.identity(dh)).is_zero(), "sigma0 not a section"
-    assert (pi1 * sigma1 - Matrix.identity(dg)).is_zero(), "sigma1 not a section"
+    total, j1, j0 = e.total, e.include_w, e.include_v
+    dg, dh, dw, dv = e.project_g.rows, e.project_h.rows, j1.cols, j0.cols
+    assert (e.project_h * sigma0 - Matrix.identity(dh)).is_zero(), \
+        "sigma0 not a section"
+    assert (e.project_g * sigma1 - Matrix.identity(dg)).is_zero(), \
+        "sigma1 not a section"
 
-    # each inclusion is factored once and solved for every read
+    # coords(j)(m) is the matrix c with j c = m; j is factored once
     def coords(inclusion, name):
         solver = LinearSolver(inclusion)
 
-        def solve(vec):
-            sol = solver.solve(vec)
-            assert sol is not None, "value not in %s" % name
-            return sol
+        def solve(m):
+            cols = [solver.solve(m.col(k)) for k in range(m.cols)]
+            assert None not in cols, "value not in %s" % name
+            return vectors_matrix(cols, dim=inclusion.cols)
         return solve
 
     w_coords, v_coords = coords(j1, "W"), coords(j0, "V")
 
-    if base_x is None and e.ctx is not None:
-        base_x = e.ctx.x
-    assert base_x is not None, "extension carries no base crossed module"
-    x = base_x
+    x = e.ctx.x if base_x is None and e.ctx is not None else base_x
+    assert x is not None, "extension carries no base crossed module"
 
-    rho0_v_mats, rho0_w_mats, rho1_mats = [], [], []
-    for b in range(dh):
-        s_y = sigma0.col(b)
-        cols_v = [v_coords(total.h.bracket(s_y, j0.col(a)))
-                  for a in range(dv)]
-        rho0_v_mats.append(vectors_matrix(cols_v, dim=dv))
-        act = total.action.act(s_y)
-        cols_w = [w_coords(act.apply(j1.col(a))) for a in range(dw)]
-        rho0_w_mats.append(vectors_matrix(cols_w, dim=dw))
+    acts = [total.action.act(sigma0.col(b)) for b in range(dh)]
+    rho0_w_mats = [w_coords(act * j1) for act in acts]
+    rho0_v_mats = [v_coords(vectors_matrix(
+        [total.h.bracket(sigma0.col(b), j0.col(a)) for a in range(dv)],
+        dim=total.h.dim)) for b in range(dh)]
     act_v = [total.action.act(j0.col(b)) for b in range(dv)]
-    for a in range(dg):
-        s_x = sigma1.col(a)
-        cols = [w_coords([-t for t in act.apply(s_x)]) for act in act_v]
-        rho1_mats.append(vectors_matrix(cols, dim=dw))
-    # phi: W -> V through the extension: eps on the included W lands in V
-    phi = vectors_matrix([v_coords(total.mu.apply(j1.col(a)))
-                          for a in range(dw)], dim=dv)
+    rho1_mats = [w_coords(vectors_matrix(
+        [[-t for t in act.apply(sigma1.col(a))] for act in act_v],
+        dim=total.g.dim)) for a in range(dg)]
+    phi = v_coords(total.mu * j1)
     rep = TwoRep(x, TwoVectorSpace(dw, dv, phi), rho1_mats,
                  Representation(x.h, dw, rho0_w_mats),
                  Representation(x.h, dv, rho0_v_mats))
@@ -210,31 +203,19 @@ def cocycle_from_extension(e, sigma0, sigma1, base_x=None):
     if ctx is None or not _same_two_rep(ctx.rep, rep):
         ctx = LatticeContext(x, rep)
 
-    om0 = []
-    for (a, b) in increasing_tuples(dh, 2):
-        ya, yb = _unit(dh, a), _unit(dh, b)
-        val = [p - q for p, q in zip(
-            sigma0.apply(x.h.bracket(ya, yb)),
-            total.h.bracket(sigma0.apply(ya), sigma0.apply(yb)))]
-        om0.extend(v_coords(val))
-    # alpha(e_b; e_a) at the basis pairs of (0,1,1), in their order
-    alpha_cols = []
-    for b in range(dh):
-        act_s = total.action.act(sigma0.col(b))
-        for a in range(dg):
-            val = [p - q for p, q in zip(
-                sigma1.apply(x.action.mats[b].apply(_unit(dg, a))),
-                act_s.apply(sigma1.col(a)))]
-            alpha_cols.append(w_coords(val))
-    alpha_vals = ctx.block_values((0, 1, 1),
-                                  vectors_matrix(alpha_cols, dim=dw))
-    phi_cols = []
-    for a in range(dg):
-        val = [p - q for p, q in zip(
-            total.mu.apply(sigma1.col(a)),
-            sigma0.apply(x.mu.apply(_unit(dg, a))))]
-        phi_cols.append(v_coords(val))
-    phi_g = vectors_matrix(phi_cols, dim=dv)
+    om0 = [[p - q for p, q in zip(
+        sigma0.apply(x.h.bracket(_unit(dh, a), _unit(dh, b))),
+        total.h.bracket(sigma0.col(a), sigma0.col(b)))]
+        for a, b in increasing_tuples(dh, 2)]
+    om0 = ctx.block_values((0, 2, 0), v_coords(
+        vectors_matrix(om0, dim=total.h.dim)))
+    # alpha(e_b; e_a) at the basis pairs of (0,1,1), b-major
+    alpha = Matrix.zero(dw, 0)
+    for b, act in enumerate(acts):
+        alpha = alpha.hstack(w_coords(sigma1 * x.action.mats[b]
+                                      - act * sigma1))
+    alpha_vals = ctx.block_values((0, 1, 1), alpha)
+    phi_g = v_coords(total.mu * sigma1 - sigma0 * x.mu)
     coc = TwoCocycle(ctx, om0, alpha_vals, phi_g)
     bad = coc.validate()
     assert not bad, "extracted cocycle failed validation: %s" % (bad,)

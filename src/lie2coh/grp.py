@@ -889,22 +889,20 @@ def homotopy_curvature_residual(rep, samples=10, seed=0):
 
 
 class VanEstCochain:
-    """A group cochain prepared for R-derivatives: exp closures for the
-    q-slots (level-p nerve points) and the r-slots (G-elements).
-
-    For p = 0 the q-slots exponentiate through exp_h; for p >= 1 supply
-    exp_gp explicitly (a map from g_p-coordinates to GpPoint).  A cochain
+    """A group cochain on the level-0 nerve points prepared for
+    R-derivatives: its q-slots (points of H) move through exp_h, its
+    r-slots (G-elements) through exp_g.  ValueError for p != 0.  A cochain
     made by ``van_est_r`` keeps the underived cochain as ``root`` and the
     (slot, direction) pairs derived so far, in order, as ``chain``.
     """
 
-    def __init__(self, gx, p, q, r, fn, exp_gp=None, root=None, chain=()):
+    def __init__(self, gx, p, q, r, fn, root=None, chain=()):
+        if p != 0:
+            raise ValueError("van Est cochains live on level p = 0, got p=%r"
+                             % (p,))
         self.gx = gx
         self.p, self.q, self.r = p, q, r
         self.fn = fn
-        if exp_gp is None and p == 0:
-            exp_gp = lambda vec: GpPoint([], gx.exp_h(vec))
-        self.exp_gp = exp_gp
         self.root = self if root is None else root
         self.chain = list(chain)
 
@@ -927,7 +925,7 @@ def _jet_derivative(root, chain, gammas, fs):
         if slot == "g":
             f_ins.append(root.gx.exp_g(scaled))
         else:
-            gam_ins.append(root.exp_gp(scaled))
+            gam_ins.append(GpPoint([], root.gx.exp_h(scaled)))
     val = root(gam_ins + list(gammas), f_ins + list(fs))
     if not chain:
         return val
@@ -952,7 +950,7 @@ def van_est_r(cochain, direction, slot="g"):
     return VanEstCochain(
         root.gx, p, q, r,
         lambda gammas, fs: _jet_derivative(root, chain, gammas, fs),
-        exp_gp=root.exp_gp, root=root, chain=chain)
+        root=root, chain=chain)
 
 
 def van_est_phi(cochain, xi_args, x_args):

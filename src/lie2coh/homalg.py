@@ -7,32 +7,30 @@ class FinComplex:
     """A bounded complex of finite-dimensional rational vector spaces.
 
     ``dims`` maps each degree in [lo, hi] to a dimension; ``diffs`` holds
-    the differential d_n: C^n -> C^{n+1} for lo <= n < hi.  d∘d = 0 is
-    checked at construction.
+    the differential d_n: C^n -> C^{n+1} for lo <= n < hi, zero where not
+    given.  ValueError on lo > hi, a wrong shape or d∘d != 0.
     """
 
     def __init__(self, lo, hi, dims, diffs):
-        assert lo <= hi
+        if lo > hi:
+            raise ValueError("empty degree range: lo %d > hi %d" % (lo, hi))
         self.lo = lo
         self.hi = hi
         self.dims = {n: dims.get(n, 0) for n in range(lo, hi + 1)}
-        self.diffs = {}
-        for n in range(lo, hi):
-            d = diffs.get(n)
-            if d is None:
-                d = Matrix.zero(self.dim(n + 1), self.dim(n))
-            assert d.cols == self.dim(n) and d.rows == self.dim(n + 1), \
-                "differential at degree %d has wrong shape" % n
-            self.diffs[n] = d
+        self.diffs = {n: diffs[n] for n in range(lo, hi) if n in diffs}
+        for n, d in self.diffs.items():
+            if (d.rows, d.cols) != (self.dim(n + 1), self.dim(n)):
+                raise ValueError("differential at degree %d has wrong shape"
+                                 % n)
         for n in range(lo, hi - 1):
-            assert (self.diffs[n + 1] * self.diffs[n]).is_zero(), \
-                "d^2 != 0 at degree %d" % n
+            if not (self.d(n + 1) * self.d(n)).is_zero():
+                raise ValueError("d^2 != 0 at degree %d" % n)
 
     def dim(self, n):
         return self.dims.get(n, 0)
 
     def d(self, n):
-        """d_n: C^n -> C^{n+1} (zero matrix outside the stored range)."""
+        """d_n: C^n -> C^{n+1} (zero matrix where none is stored)."""
         if n in self.diffs:
             return self.diffs[n]
         return Matrix.zero(self.dim(n + 1), self.dim(n))
@@ -51,26 +49,25 @@ class FinComplex:
 
 
 class ChainMap:
-    """A degreewise map of complexes commuting with the differentials."""
+    """A degreewise map of complexes commuting with the differentials,
+    zero where not given.  ValueError on a wrong shape or if it does not
+    commute with d."""
 
     def __init__(self, source, target, components):
         self.source = source
         self.target = target
-        self.components = {}
         lo = min(source.lo, target.lo)
         hi = max(source.hi, target.hi)
-        for n in range(lo, hi + 1):
-            f = components.get(n)
-            if f is None:
-                f = Matrix.zero(target.dim(n), source.dim(n))
-            assert f.rows == target.dim(n) and f.cols == source.dim(n), \
-                "component at degree %d has wrong shape" % n
-            self.components[n] = f
+        self.components = {n: components[n] for n in range(lo, hi + 1)
+                           if n in components}
+        for n, f in self.components.items():
+            if (f.rows, f.cols) != (target.dim(n), source.dim(n)):
+                raise ValueError("component at degree %d has wrong shape" % n)
         for n in range(lo, hi):
-            lhs = self.target.d(n) * self.component(n)
-            rhs = self.component(n + 1) * self.source.d(n)
-            assert (lhs - rhs).is_zero(), \
-                "chain map does not commute with d at degree %d" % n
+            if not (target.d(n) * self.component(n)
+                    - self.component(n + 1) * source.d(n)).is_zero():
+                raise ValueError("chain map does not commute with d at "
+                                 "degree %d" % n)
 
     def component(self, n):
         if n in self.components:

@@ -58,11 +58,14 @@ two caches:
   Der, rho1 and phi.  As t e is mu e_a or e_b, rho0(t e) and Der(L_{t e})
   are built for the mu e_a and the e_b only, and shared by every p.
 
-Each nabla_n is a ``SparseMatrix``, rows of its nonzeros.  ``nabla``
-assembles every component into its own rows at the block offsets, keeps
-no component and drops zeros once per row at the end; it keeps nabla_n,
-once per degree.  ``component_matrix`` assembles one component into
-fresh rows.  ``nabla_squared_blocks`` multiplies the sparse rows, and
+``_components`` lists the components out of C^{p,q}_r, each with its
+kind, its difference order, its target block and its sign in nabla;
+``nabla`` and ``component_matrix`` read it.  Each nabla_n is a
+``SparseMatrix``, rows of its nonzeros.  ``nabla`` assembles every
+component into its own rows at the block offsets, keeps no component and
+drops zeros once per row at the end; the context's cache keeps nabla_n.
+``component_matrix`` assembles one component into fresh rows.
+``nabla_squared_blocks`` multiplies the sparse rows, and
 ``total_cohomology`` hands nabla_{n-1} and nabla_n to
 ``numeric.cohomology``, so no dense nabla or kernel is built on the way to
 H^n.  Their ``data`` is a dense view, built only when read.
@@ -76,7 +79,6 @@ the restriction and the full unit lattice have the same H^n.
 """
 
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -258,8 +260,14 @@ def _difference_tables(dg, dh, p, q, k):
     return rows
 
 
-# (p, q, r) shift of the target of each component but DeltaK's
-_SHIFTS = {"deltaR": (0, 1, 0), "delta1": (0, 0, 1), "partial": (1, 0, 0)}
+def _components(p, q, r):
+    """The component maps out of C^{p,q}_r, as (kind, difference order k
+    or None, target block, sign in nabla)."""
+    yield "deltaR", None, (p, q + 1, r), 1
+    yield "delta1", None, (p, q, r + 1), -1 if q % 2 else 1
+    yield "partial", None, (p + 1, q, r), -1 if (q + r) % 2 else 1
+    for k in range(1, r + 1):
+        yield "DeltaK", k, (p + 1, q + k, r - k), _delta_sign(k, q, r)
 
 
 class LatticeContext:
@@ -285,15 +293,14 @@ class LatticeContext:
         self.dv = rep.target.dim_v
         self.phi = rep.target.phi
         self._factors = {}
-        self._layouts = {}
-        self._nablas = {}
 
     # -- structural caches -------------------------------------------------
 
     def _factor(self, key, build):
         """The factor under key, built once per context and shared by
         every component that uses it: for the tables that read this
-        context's maps (the others are ``_shared``)."""
+        context's maps (the others are ``_shared``).  It also keeps the
+        layouts and the nabla_n, under ("layout", n) and ("nabla", n)."""
         if key not in self._factors:
             self._factors[key] = build()
         return self._factors[key]
@@ -314,31 +321,24 @@ class LatticeContext:
     # -- component differentials -------------------------------------------
 
     def component_matrix(self, kind, p, q, r, k=None):
-        """Matrix of one component map out of C^{p,q}_r.
+        """Matrix of one component map out of C^{p,q}_r, assembled into
+        fresh rows and not cached (nabla assembles into its own rows).
 
-        kind in {"deltaR", "delta1", "partial", "DeltaK"}; for DeltaK the
-        difference order k with 1 <= k <= r is required, the other kinds
-        take none.  ValueError on a negative index.  Assembled into fresh
-        rows and not cached; nabla does not call it, but assembles each
-        component into its own rows.
+        (kind, k) is one that _components lists out of (p, q, r): kind in
+        {"deltaR", "delta1", "partial"} with k None, or "DeltaK" with
+        1 <= k <= r; ValueError otherwise, and on a negative index.
         """
-        if kind not in self._TERMS:
-            raise ValueError("unknown component kind %r" % (kind,))
         if min(p, q, r) < 0:
             raise ValueError("negative lattice index (%d, %d, %d)"
                              % (p, q, r))
-        if kind == "DeltaK":
-            if k is None or not 1 <= k <= r:
-                raise ValueError("difference order out of range: k=%r, r=%d"
-                                 % (k, r))
-            shift = (1, k, -k)
-        elif k is not None:
-            raise ValueError("%s takes no difference order, got k=%r"
-                             % (kind, k))
+        for listed, order, block, _ in _components(p, q, r):
+            if (listed, order) == (kind, k):
+                break
         else:
-            shift = _SHIFTS[kind]
+            raise ValueError("no component %r with k=%r out of C^{%d,%d,%d}"
+                             % (kind, k, p, q, r))
         src = self.space(p, q, r)
-        tgt = self.space(p + shift[0], q + shift[1], r + shift[2])
+        tgt = self.space(*block)
         rows = [{} for _ in range(tgt.total_dim)]
         if src.total_dim and tgt.total_dim:
             self._assemble(rows, 0, 0, src, tgt, kind, k, 1)
@@ -474,10 +474,6 @@ class LatticeContext:
 
     # -- total differential and cohomology -----------------------------------
 
-    def degree_blocks(self, n):
-        """The (p, q, r) with p + q + r = n and a nonzero space, in order."""
-        return list(self.block_offsets(n)[0])
-
     def total_dim(self, n):
         return self.block_offsets(n)[1]
 
@@ -485,7 +481,8 @@ class LatticeContext:
         """The layout of C^n_tot, built once per degree and shared (not to
         be changed): ({(p, q, r): start offset}, dim C^n_tot) over the
         blocks of degree n with a nonzero space, in sorted order."""
-        if n not in self._layouts:
+        key = ("layout", n)
+        if key not in self._factors:
             offs = {}
             pos = 0
             for p in range(n + 1):
@@ -495,8 +492,8 @@ class LatticeContext:
                     if dim:
                         offs[block] = pos
                         pos += dim
-            self._layouts[n] = offs, pos
-        return self._layouts[n]
+            self._factors[key] = offs, pos
+        return self._factors[key]
 
     def split(self, n, vec):
         """The blocks of a vector of C^n_tot: {(p, q, r): values}, in block
@@ -549,8 +546,9 @@ class LatticeContext:
 
         Raises ValueError, before building anything, if it would have
         more than MAX_NABLA_CELLS cells."""
-        if n in self._nablas:
-            return self._nablas[n]
+        key = ("nabla", n)
+        if key in self._factors:
+            return self._factors[key]
         src_offs, src_dim = self.block_offsets(n)
         tgt_offs, tgt_dim = self.block_offsets(n + 1)
         if tgt_dim * src_dim > MAX_NABLA_CELLS:
@@ -559,26 +557,19 @@ class LatticeContext:
                              % (n, tgt_dim, src_dim, tgt_dim * src_dim,
                                 MAX_NABLA_CELLS))
         out = [{} for _ in range(tgt_dim)]
-
-        def place(tgt_block, sign, kind, k=None):
+        for (p, q, r), col0 in src_offs.items():
+            src = self.space(p, q, r)
             # the components out of one source block go to distinct target
             # blocks and those of distinct source blocks to distinct
             # columns, so each cell of nabla is one component's; a target
             # block of dimension 0 has no cells, so nothing is assembled
-            if tgt_block in tgt_offs:
-                self._assemble(out, tgt_offs[tgt_block], col0, src,
-                               self.space(*tgt_block), kind, k, sign)
-
-        for (p, q, r), col0 in src_offs.items():
-            src = self.space(p, q, r)
-            place((p, q + 1, r), 1, "deltaR")
-            place((p, q, r + 1), -1 if q % 2 else 1, "delta1")
-            place((p + 1, q, r), -1 if (q + r) % 2 else 1, "partial")
-            for k in range(1, r + 1):
-                place((p + 1, q + k, r - k), _delta_sign(k, q, r), "DeltaK", k)
-        self._nablas[n] = SparseMatrix(
+            for kind, k, block, sign in _components(p, q, r):
+                if block in tgt_offs:
+                    self._assemble(out, tgt_offs[block], col0, src,
+                                   self.space(*block), kind, k, sign)
+        self._factors[key] = SparseMatrix(
             tgt_dim, src_dim, [_nonzero(row) if row else row for row in out])
-        return self._nablas[n]
+        return self._factors[key]
 
     def nabla_squared_blocks(self, n):
         """Nonzero blocks of nabla_{n+1} nabla_n, for diagnostics, as
@@ -665,14 +656,21 @@ class LatticeCochain:
         self.index = (p, q, r)
         space = ctx.space(p, q, r)
         assert len(values) == space.total_dim
-        self.values = [Fraction(v) if isinstance(v, int) else v
-                       for v in values]
+        self.values = list(values)
         self.space = space
 
     def evaluate(self, xi_vectors, z_vectors):
-        """Alternating multilinear evaluation; returns a coefficient list."""
+        """Alternating multilinear evaluation; returns a coefficient list.
+        ValueError unless it is given q vectors of g_p and r of g."""
         p, q, r = self.index
-        assert len(xi_vectors) == q and len(z_vectors) == r
+        for slot, vectors, count, dim in (
+                ("xi", xi_vectors, q, self.ctx.gp_dim(p)),
+                ("z", z_vectors, r, self.ctx.dg)):
+            if len(vectors) != count or any(len(v) != dim for v in vectors):
+                raise ValueError("C^{%d,%d,%d} takes %d vectors of length %d "
+                                 "in its %s slots, got lengths %s" % (
+                                     p, q, r, count, dim, slot,
+                                     [len(v) for v in vectors]))
         out = [Q0] * self.space.coeff_dim
         gp_args = [_sparse_from(v) for v in xi_vectors]
         g_args = [_sparse_from(v) for v in z_vectors]

@@ -81,6 +81,50 @@ def test_validate_broken_jacobi(tmp_path, capsys):
     assert "(0, 1, 2)" in out
 
 
+def test_validate_reports_jacobi_h(tmp_path, capsys):
+    """A bracket on h that fails Jacobi is reported as jacobi_h."""
+    raw = load_json(ADJOINT)
+    raw["lie2algebra"] = {
+        "g": {"dim": 0, "brackets": {}},
+        "h": {"dim": 3, "brackets": {"0,1": ["0", "0", "1"],
+                                     "0,2": ["0", "1", "0"],
+                                     "1,2": ["0", "0", "1"]}},
+        "mu": [[], [], []],
+        "action": [[], [], []],
+    }
+    raw.pop("two_vector", None)
+    raw.pop("two_rep", None)
+    path = tmp_path / "bad_h.json"
+    path.write_text(json.dumps(raw))
+    code, out, _ = run(capsys, ["validate", str(path)])
+    assert code == 1
+    assert "CHECK jacobi_g: PASS" in out
+    assert "CHECK jacobi_h: FAIL violating triples" in out
+
+
+def test_group_checks_tolerance_defaults_to_the_scenario(monkeypatch,
+                                                          capsys):
+    """Without --tolerance each scenario checks at its own tolerance; a
+    given one, 0 included, is passed on."""
+    from lie2coh import grp
+    seen = []
+
+    def spy(name):
+        def scenario(**kwargs):
+            seen.append((name, kwargs.get("tol")))
+            return [("row", 0.0, True)]
+        return scenario
+    for name in ("vanest-heisenberg", "lie-functor", "glphi"):
+        monkeypatch.setitem(grp.SCENARIOS, name, spy(name))
+    for argv in (["vanest-heisenberg"], ["lie-functor"], ["glphi"],
+                 ["glphi", "--tolerance", "0"],
+                 ["vanest-heisenberg", "--tolerance", "1e-3"]):
+        assert run(capsys, ["group-checks"] + argv)[0] == 0
+    assert seen == [("vanest-heisenberg", None), ("lie-functor", None),
+                    ("glphi", None), ("glphi", 0.0),
+                    ("vanest-heisenberg", 1e-3)]
+
+
 def test_validate_broken_two_rep(tmp_path, capsys):
     raw = load_json(ADJOINT)
     raw["two_rep"]["rho0_W"][0] = [["1", "1"], ["0", "1"]]

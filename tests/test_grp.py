@@ -5,6 +5,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from lie2coh.numeric import Matrix, Jet
 from lie2coh.lie2 import TwoVectorSpace
 from lie2coh.grp import (glphi_group, glphi1_exp, additive_group,
@@ -230,6 +232,14 @@ def test_van_est_r_linear_examples():
     assert abs(ry([], [])[0] - 2.0 * 7.0) < 1e-12
     const = VanEstCochain(gx, 0, 1, 0, lambda gammas, fs: [5.0])
     assert abs(van_est_r(const, [1.0, 1.0], slot="h")([], [])[0]) < 1e-15
+
+
+def test_van_est_cochain_refuses_level_above_zero():
+    """Only level-0 nerve points move through exp_h; p >= 1 is refused at
+    construction, not at the first derivative."""
+    gx = additive_group(0, 2)
+    with pytest.raises(ValueError, match="p = 0"):
+        VanEstCochain(gx, 1, 1, 0, lambda gammas, fs: [0.0])
 
 
 def test_van_est_r_g_slot_closed_form():

@@ -31,7 +31,7 @@ def test_rank_one_middle_map():
 
 
 def test_d_squared_rejected():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         FinComplex(0, 2, {0: 1, 1: 1, 2: 1},
                    {0: Matrix.identity(1), 1: Matrix.identity(1)})
 
@@ -39,8 +39,19 @@ def test_d_squared_rejected():
 def test_chain_map_rejects_non_commuting():
     a = line_complex(0, 1, {0: 1, 1: 1}, {0: Matrix.identity(1)})
     b = line_complex(0, 1, {0: 1, 1: 1}, {0: Matrix.zero(1, 1)})
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ChainMap(a, b, {0: Matrix.identity(1), 1: Matrix.identity(1)})
+
+
+def test_bad_range_and_shapes_rejected():
+    """The refusals are ValueErrors, which python -O keeps."""
+    with pytest.raises(ValueError):
+        FinComplex(1, 0, {}, {})
+    with pytest.raises(ValueError):
+        FinComplex(0, 1, {0: 1, 1: 2}, {0: Matrix.identity(1)})
+    a = line_complex(0, 0, {0: 1}, {})
+    with pytest.raises(ValueError):
+        ChainMap(a, a, {0: Matrix.identity(2)})
 
 
 def test_cone_of_identity_acyclic():

@@ -346,6 +346,31 @@ def test_cochain_evaluation_alternating():
     assert all(t == 0 for t in c.evaluate([u, u], [z]))
 
 
+def test_cochain_evaluation_refuses_wrong_lengths():
+    """A vector of the wrong length in a slot, or a wrong number of
+    vectors, is a ValueError, not silently cut or padded with zeros."""
+    ctx = load_problem(os.path.join(ROOT, "tests/fixtures/adjoint_aff1.json")
+                       ).context()
+    c = LatticeCochain(ctx, 0, 1, 1, list(range(ctx.cochain_dim(0, 1, 1))))
+    assert c.evaluate([[1, 0]], [[0, 1]]) == c.values[2:4]
+    assert isinstance(c.values[0], int)
+    for xi, z, slot in (([[1, 0, 5]], [[0, 1]], "xi"),
+                        ([[1, 0]], [[0, 1, 7]], "z"), ([[1]], [[0]], "xi"),
+                        ([], [[0, 1]], "xi"), ([[1, 0]], [[0, 1]] * 2, "z")):
+        with pytest.raises(ValueError, match="in its %s slots" % slot):
+            c.evaluate(xi, z)
+
+
+def test_context_refuses_a_rep_over_another_crossed_module():
+    """The 2-representation must be over the crossed module it is given
+    with."""
+    x = unit_context().x
+    other = CrossedModuleAlg(x.g, x.h, Matrix.zero(1, 1),
+                             Representation(x.h, 1, [Matrix(1, 1, [[2]])]))
+    with pytest.raises(ValueError, match="another crossed module"):
+        LatticeContext(x, adjoint_rep(other))
+
+
 def test_trivial_total_complex_d_squared():
     rng = rng_from_seed(24)
     for _ in range(10):
@@ -507,7 +532,7 @@ def test_nabla_collapses_for_trivial_everything():
     r = TwoRep.trivial(x, TwoVectorSpace(2, 2, Matrix.zero(2, 2)))
     ctx = LatticeContext(x, r)
     for n in range(4):
-        for (p, q, rr) in ctx.degree_blocks(n):
+        for (p, q, rr) in ctx.block_offsets(n)[0]:
             assert ctx.component_matrix("deltaR", p, q, rr).is_zero()
             assert ctx.component_matrix("delta1", p, q, rr).is_zero()
             partial = ctx.component_matrix("partial", p, q, rr)
@@ -1025,7 +1050,7 @@ def test_split_and_join_are_inverse():
             assert ctx.block_offsets(n) is ctx.block_offsets(n)
             vec = vector(ctx.total_dim(n))
             parts = ctx.split(n, vec)
-            assert list(parts) == ctx.degree_blocks(n)
+            assert list(parts) == list(ctx.block_offsets(n)[0])
             assert [len(v) for v in parts.values()] == \
                 [ctx.cochain_dim(*b) for b in parts]
             assert [x for v in parts.values() for x in v] == vec
