@@ -204,6 +204,23 @@ def _check(out, name, passed, detail=""):
     out.append((line, passed))
 
 
+def _violated(bad):
+    """The detail of a validator's check: the equations it violated."""
+    return "" if not bad else "violated %s" % sorted(set(b[0] for b in bad))
+
+
+def _cocycle_holds(report, name, coc):
+    """Validate the 2-cocycle coc as the check name; whether it holds."""
+    bad = coc.validate()
+    _check(report, name, not bad, _violated(bad))
+    return not bad
+
+
+def _exact(values):
+    """Exact values as printed: integers plain, other rationals p/q."""
+    return [format_rat(v) for v in values]
+
+
 def _emit(report):
     ok = True
     for line, passed in report:
@@ -226,21 +243,17 @@ def cmd_validate(args):
     pf = load_problem(args.file)
     report = []
     if pf.xmod is not None:
-        bad_g = validate_lie_algebra(pf.xmod.g)
-        _check(report, "jacobi_g", not bad_g,
-               "" if not bad_g else "violating triples %s"
-               % [t[:3] for t in bad_g])
-        bad_h = validate_lie_algebra(pf.xmod.h)
-        _check(report, "jacobi_h", not bad_h,
-               "" if not bad_h else "violating triples %s"
-               % [t[:3] for t in bad_h])
+        for name, algebra in (("jacobi_g", pf.xmod.g),
+                              ("jacobi_h", pf.xmod.h)):
+            bad = validate_lie_algebra(algebra)
+            _check(report, name, not bad,
+                   "" if not bad else "violating triples %s"
+                   % [t[:3] for t in bad])
         bad = validate_crossed_module(pf.xmod)
-        _check(report, "crossed_module", not bad,
-               "" if not bad else "violated %s" % sorted(set(b[0] for b in bad)))
+        _check(report, "crossed_module", not bad, _violated(bad))
     if pf.two_rep is not None:
         bad = validate_two_rep(pf.two_rep)
-        _check(report, "two_rep", not bad,
-               "" if not bad else "violated %s" % sorted(set(b[0] for b in bad)))
+        _check(report, "two_rep", not bad, _violated(bad))
     if not report:
         _check(report, "nothing_to_validate", False, "no sections found")
     return _emit(report)
@@ -325,8 +338,13 @@ def cmd_nabla_check(args):
     return _emit(report)
 
 
-def _load_cocycle(pf, ctx, names):
-    omega0_name, alpha_name, phimap_name = names
+def _load_cocycle(pf, ctx, arg):
+    """The 2-cocycle named by arg and whether its phimap lost an h-part."""
+    names = arg.split(",")
+    if len(names) != 3:
+        raise InputError("expected three comma-separated cochain names "
+                         "(omega0,alpha,phimap)")
+    omega0_name, alpha_name, phimap_name = (n.strip() for n in names)
     vals = {}
     for label, name, idx in (("omega0", omega0_name, (0, 2, 0)),
                              ("alpha", alpha_name, (0, 1, 1)),
@@ -347,25 +365,14 @@ def _load_cocycle(pf, ctx, names):
     return TwoCocycle(ctx, vals["omega0"], vals["alpha"], phi_g), dropped
 
 
-def _cocycle_names(arg):
-    names = arg.split(",")
-    if len(names) != 3:
-        raise InputError("expected three comma-separated cochain names "
-                         "(omega0,alpha,phimap)")
-    return tuple(n.strip() for n in names)
-
-
 def cmd_extend(args):
     pf = load_problem(args.file)
     ctx = pf.context()
-    coc, dropped = _load_cocycle(pf, ctx, _cocycle_names(args.cocycle))
+    coc, dropped = _load_cocycle(pf, ctx, args.cocycle)
     report = []
     if dropped:
         print("note: phimap h-components dropped (restricted to g)")
-    bad = coc.validate()
-    _check(report, "cocycle_equations", not bad,
-           "" if not bad else "violated %s" % sorted(set(b[0] for b in bad)))
-    if bad:
+    if not _cocycle_holds(report, "cocycle_equations", coc):
         return _emit(report)
     ext = extension_from_cocycle(coc)
     _check(report, "extension_crossed_module",
@@ -373,24 +380,18 @@ def cmd_extend(args):
     _check(report, "extension_rows_exact", ext.rows_exact())
     print("extension e1 dim %d, e0 dim %d" % (ext.total.g.dim,
                                               ext.total.h.dim))
-    for (i, j), vec in sorted(ext.total.g.brackets.items()):
-        print("e1 bracket [%d,%d] = %s" % (i, j,
-                                           [format_rat(c) for c in vec]))
-    for (i, j), vec in sorted(ext.total.h.brackets.items()):
-        print("e0 bracket [%d,%d] = %s" % (i, j,
-                                           [format_rat(c) for c in vec]))
+    for name, algebra in (("e1", ext.total.g), ("e0", ext.total.h)):
+        for (i, j), vec in sorted(algebra.brackets.items()):
+            print("%s bracket [%d,%d] = %s" % (name, i, j, _exact(vec)))
     return _emit(report)
 
 
 def cmd_split(args):
     pf = load_problem(args.file)
     ctx = pf.context()
-    coc, _ = _load_cocycle(pf, ctx, _cocycle_names(args.cocycle))
+    coc, _ = _load_cocycle(pf, ctx, args.cocycle)
     report = []
-    bad = coc.validate()
-    _check(report, "cocycle_equations", not bad,
-           "" if not bad else "violated %s" % sorted(set(b[0] for b in bad)))
-    if bad:
+    if not _cocycle_holds(report, "cocycle_equations", coc):
         return _emit(report)
     ext = extension_from_cocycle(coc)
     sigma0, sigma1 = canonical_splitting(ext)
@@ -410,37 +411,30 @@ def cmd_split(args):
         _check(report, "canonical_splitting_round_trip", same)
     for label, cochain in (("omega0", extracted.omega0),
                            ("alpha", extracted.alpha)):
-        print("%s values: %s" % (label,
-                                 [format_rat(v) for v in cochain.values]))
+        print("%s values: %s" % (label, _exact(cochain.values)))
     print("phimap (g columns): %s"
-          % [[format_rat(v) for v in row] for row in extracted.phi_g.data])
+          % [_exact(row) for row in extracted.phi_g.data])
     return _emit(report)
 
 
 def cmd_compare(args):
     pf = load_problem(args.file)
     ctx = pf.context()
-    left, _ = _load_cocycle(pf, ctx, _cocycle_names(args.left))
-    right, _ = _load_cocycle(pf, ctx, _cocycle_names(args.right))
+    left, _ = _load_cocycle(pf, ctx, args.left)
+    right, _ = _load_cocycle(pf, ctx, args.right)
     report = []
-    for label, coc in (("left", left), ("right", right)):
-        bad = coc.validate()
-        _check(report, "cocycle_%s_valid" % label, not bad,
-               "" if not bad else "violated %s"
-               % sorted(set(b[0] for b in bad)))
-    if not all(p for _, p in report):
+    # a list, so that both sides are validated and reported
+    if not all([_cocycle_holds(report, "cocycle_%s_valid" % label, coc)
+                for label, coc in (("left", left), ("right", right))]):
         return _emit(report)
     lam = coboundary_solve(left, right)
     if lam is None:
         print("cohomologous: no")
         _check(report, "compare_infeasible_certified", True)
     else:
-        lam0, lam1 = lam
         print("cohomologous: yes")
-        print("lambda0 = %s" % [[format_rat(v) for v in row]
-                                for row in lam0.data])
-        print("lambda1 = %s" % [[format_rat(v) for v in row]
-                                for row in lam1.data])
+        for name, m in zip(("lambda0", "lambda1"), lam):
+            print("%s = %s" % (name, [_exact(row) for row in m.data]))
         _check(report, "compare_solved", True)
     return _emit(report)
 

@@ -8,7 +8,7 @@ from .numeric import (LinearSolver, Matrix, SparseMatrix, Q0, cohomology,
 from .liealg import Representation, _unit
 from .lie2 import TwoVectorSpace, validate_crossed_module
 from .tworep import TwoRep, twisted_semidirect
-from .lattice import LatticeContext, LatticeCochain, trivial_context
+from .lattice import LatticeContext, LatticeCochain, trivial_context, unit_rep
 
 # names of the cocycle equations, keyed by the lattice block where each
 # component of nabla(omega0, alpha, phimap, omega1, 0, 0) must vanish
@@ -371,8 +371,7 @@ def trivial_coeff_extension(x, omega_vals, phi_vals):
         raise ValueError("not a trivial-coefficient 2-cocycle: %s"
                          % sorted(defects))
     dg = x.g.dim
-    unit = TwoRep.trivial(x, TwoVectorSpace(0, 1, Matrix.zero(1, 0)))
-    out = twisted_semidirect(x, unit, omega_vals, [], [],
+    out = twisted_semidirect(x, unit_rep(x), omega_vals, [], [],
                              Matrix(1, dg, [phi_vals[:dg]]))
     assert not validate_crossed_module(out), \
         "mu_phi construction failed validation"

@@ -17,11 +17,13 @@ group lattice maps are one table, ``_KINDS``: kind -> (pointwise formula,
 (dp, dq, dr) shift of the index), read by ``diff_cochain``.
 """
 
+import functools
 import itertools
 import math
 import random
 
 from .numeric import Jet, Matrix
+from .liealg import _sort_sign
 from .lie2 import TwoVectorSpace, gl_phi
 
 # ---------------------------------------------------------------------------
@@ -81,9 +83,7 @@ def _coefficient(x, key):
 
 def minv(a):
     """Inverse by Gauss-Jordan elimination on [a | I]."""
-    n = len(a)
-    return _gauss_jordan([row + [1.0 if i == j else 0.0 for j in range(n)]
-                          for i, row in enumerate(a)])
+    return _gauss_jordan([row + e for row, e in zip(a, meye(len(a)))])
 
 
 def _gauss_jordan(work):
@@ -248,16 +248,10 @@ class GroupXModData:
                            for _ in range(self.dim_h)])
 
     def prod_g(self, elements):
-        out = self.one_g
-        for e in elements:
-            out = self.mul_g(out, e)
-        return out
+        return functools.reduce(self.mul_g, elements, self.one_g)
 
     def prod_h(self, elements):
-        out = self.one_h
-        for e in elements:
-            out = self.mul_h(out, e)
-        return out
+        return functools.reduce(self.mul_h, elements, self.one_h)
 
 
 def glphi1_exp(a, phi):
@@ -358,9 +352,8 @@ def additive_group(dim_g, dim_h, i_matrix=None):
 
 
 def _elem_residual(gx, kind, a, b):
-    fa = gx.flatten_g(a) if kind == "g" else gx.flatten_h(a)
-    fb = gx.flatten_g(b) if kind == "g" else gx.flatten_h(b)
-    return vmax([x - y for x, y in zip(fa, fb)])
+    flatten = gx.flatten_g if kind == "g" else gx.flatten_h
+    return vmax([x - y for x, y in zip(flatten(a), flatten(b))])
 
 
 # the sample_g/sample_h scale of the sampled crossed-module, 2-cocycle and
@@ -615,8 +608,16 @@ def _vsub(a, b):
     return [x - y for x, y in zip(a, b)]
 
 
-def _vneg(a):
-    return [-x for x in a]
+def _bar(first, xs, mul, value, last):
+    """The bar sum first + sum_{j=1}^{n-1} (-1)^j value(x_1, ..., x_j x_{j+1},
+    ..., x_n) + (-1)^n last over xs, n = len(xs), with x_j x_{j+1} =
+    mul(x_j, x_{j+1}), added left to right."""
+    out = first
+    for j in range(1, len(xs)):
+        merged = xs[:j - 1] + [mul(xs[j - 1], xs[j])] + xs[j + 1:]
+        term = value(merged)
+        out = _vadd(out, term) if j % 2 == 0 else _vsub(out, term)
+    return _vadd(out, last) if len(xs) % 2 == 0 else _vsub(out, last)
 
 
 def _gd_delta(rep, c, gammas, fs):
@@ -625,22 +626,17 @@ def _gd_delta(rep, c, gammas, fs):
     q, r = c.q, c.r
     assert len(gammas) == q + 1 and len(fs) == r
     if r == 0:
-        out = mapply(rep.rho0_v(gp_target(gx, gammas[0])),
-                     c(gammas[1:], []))
+        first = mapply(rep.rho0_v(gp_target(gx, gammas[0])),
+                       c(gammas[1:], []))
     else:
         t0 = gp_target(gx, gammas[0])
         moved = [gx.act(f, t0) for f in fs]
-        out = c(gammas[1:], moved)
-    for j in range(1, q + 1):
-        merged = gammas[:j - 1] + [gp_mul(gx, gammas[j - 1], gammas[j])] \
-            + gammas[j + 1:]
-        term = c(merged, fs)
-        out = _vadd(out, term) if j % 2 == 0 else _vsub(out, term)
+        first = c(gammas[1:], moved)
     last = c(gammas[:-1], fs)
     if r > 0:
         last = mapply(minv(rep.rho0_w(gp_target(gx, gammas[q]))), last)
-    out = _vadd(out, last) if (q + 1) % 2 == 0 else _vsub(out, last)
-    return out
+    return _bar(first, gammas, functools.partial(gp_mul, gx),
+                lambda merged: c(merged, fs), last)
 
 
 def _gd_partial(rep, c, gammas, fs):
@@ -648,7 +644,6 @@ def _gd_partial(rep, c, gammas, fs):
     gx = rep.gx
     p, q, r = c.p, c.q, c.r
     assert all(g.level == p + 1 for g in gammas) and len(fs) == r
-    total = None
     for k in range(p + 2):
         faced = [gp_face(gx, g, k) for g in gammas]
         term = c(faced, fs)
@@ -657,9 +652,10 @@ def _gd_partial(rep, c, gammas, fs):
             # rho0^1(i(pr_G of the vertical product of the zero arrows))^-1
             tw = rep.rho0_w(gx.i(_zero_arrow_product(gx, gammas)))
             term = mapply(minv(tw), term)
-        if k % 2 == 1:
-            term = _vneg(term)
-        total = term if total is None else _vadd(total, term)
+        if k == 0:
+            total = term
+        else:
+            total = _vadd(total, term) if k % 2 == 0 else _vsub(total, term)
     return total
 
 
@@ -679,14 +675,9 @@ def _gd_delta_one(rep, c, gammas, fs):
     assert r >= 1 and len(fs) == r + 1
     acc = gx.prod_h(gp_target(gx, g) for g in gammas)
     tw = rep.rho0_w(gx.i(gx.act(fs[0], acc)))
-    out = mapply(tw, c(gammas, fs[1:]))
-    for k in range(1, r + 1):
-        merged = fs[:k - 1] + [gx.mul_g(fs[k - 1], fs[k])] + fs[k + 1:]
-        term = c(gammas, merged)
-        out = _vadd(out, term) if k % 2 == 0 else _vsub(out, term)
+    first = mapply(tw, c(gammas, fs[1:]))
     last = c(gammas, fs[:-1])
-    out = _vadd(out, last) if (r + 1) % 2 == 0 else _vsub(out, last)
-    return out
+    return _bar(first, fs, gx.mul_g, lambda merged: c(gammas, merged), last)
 
 
 def _front_page(rep, c, faced, skip, args):
@@ -735,9 +726,7 @@ def _gd_first_difference(rep, c, gammas, fs):
         plus = c(faced, stair + [gx.mul_g(gx.act(fs[t - 1], h00), g00)])
         minus = c(faced, stair + [g00])
         term = _vsub(plus, minus)
-        if (t - n) % 2 == 1:
-            term = _vneg(term)
-        out = _vadd(out, term)
+        out = _vadd(out, term) if (t - n) % 2 == 0 else _vsub(out, term)
     return mapply(outer, out)
 
 
@@ -960,28 +949,17 @@ def van_est_phi(cochain, xi_args, x_args):
     assert q == cochain.q and r == cochain.r
     assert q + r <= 3, "jet-order bound exceeded"
     total = None
-    for sigma, s_sign in _signed_permutations(q):
-        for rho, r_sign in _signed_permutations(r):
+    for sigma in itertools.permutations(range(q)):
+        for rho in itertools.permutations(range(r)):
             # R_{x_rho(1)} first, then up; then the xi-slots
             chain = (cochain.chain
                      + [("g", list(x_args[k])) for k in rho]
                      + [("h", list(xi_args[k])) for k in sigma])
             val = _jet_derivative(cochain.root, chain, [], [])
-            val = [s_sign * r_sign * x for x in val]
+            sign = _sort_sign(sigma)[0] * _sort_sign(rho)[0]
+            val = [sign * x for x in val]
             total = val if total is None else _vadd(total, val)
     return total
-
-
-def _signed_permutations(n):
-    out = []
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        out.append((perm, sign))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1073,10 +1051,9 @@ def startop_relation_residual(rep, r, samples=10, seed=0, p=0, q=0):
     after = "deltaPrime" if r == 1 else "delta1"
 
     def relation(c, gammas, fs):
-        lhs = _vsub(_maps(rep, c, "partial", "delta")(gammas, fs),
-                    _maps(rep, c, "delta", "partial")(gammas, fs))
-        if r % 2 == 1:
-            lhs = _vneg(lhs)
+        pd = _maps(rep, c, "partial", "delta")(gammas, fs)
+        dp = _maps(rep, c, "delta", "partial")(gammas, fs)
+        lhs = _vsub(pd, dp) if r % 2 == 0 else _vsub(dp, pd)
         rhs = _vsub(_maps(rep, c, first, "Delta")(gammas, fs),
                     _maps(rep, c, "Delta", after)(gammas, fs))
         return _vsub(lhs, rhs)

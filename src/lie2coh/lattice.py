@@ -277,14 +277,13 @@ class LatticeContext:
         if rep.source != x:
             raise ValueError("the 2-representation is over another "
                              "crossed module")
-        bad = validate_crossed_module(x)
-        if bad:
-            raise ValueError("invalid crossed module: violated %s"
-                             % sorted(set(b[0] for b in bad)))
-        bad = validate_two_rep(rep)
-        if bad:
-            raise ValueError("invalid 2-representation: violated %s"
-                             % sorted(set(b[0] for b in bad)))
+        for what, validate, structure in (
+                ("crossed module", validate_crossed_module, x),
+                ("2-representation", validate_two_rep, rep)):
+            bad = validate(structure)
+            if bad:
+                raise ValueError("invalid %s: violated %s"
+                                 % (what, sorted(set(b[0] for b in bad))))
         self.x = x
         self.rep = rep
         self.dg = x.g.dim
@@ -655,7 +654,9 @@ class LatticeCochain:
         self.ctx = ctx
         self.index = (p, q, r)
         space = ctx.space(p, q, r)
-        assert len(values) == space.total_dim
+        if len(values) != space.total_dim:
+            raise ValueError("C^{%d,%d,%d} has %d values, got %d"
+                             % (p, q, r, space.total_dim, len(values)))
         self.values = list(values)
         self.space = space
 
@@ -689,10 +690,14 @@ class LatticeCochain:
 # Trivial coefficients: the unit 2-representation, rows q >= 1.
 # ---------------------------------------------------------------------------
 
+def unit_rep(x):
+    """The unit 2-representation of x: W = 0, V = Q, every map zero."""
+    return TwoRep.trivial(x, TwoVectorSpace(0, 1, Matrix.zero(1, 0)))
+
+
 def trivial_context(x):
     """The lattice of x with values in the unit 2-representation."""
-    return LatticeContext(x, TwoRep.trivial(
-        x, TwoVectorSpace(0, 1, Matrix.zero(1, 0))))
+    return LatticeContext(x, unit_rep(x))
 
 
 def trivial_total_complex(x, n):

@@ -82,7 +82,7 @@ class Matrix:
     def identity(n):
         m = Matrix.zero(n, n)
         for i in range(n):
-            m.data[i][i] = Q1
+            m.data[i][i] = 1
         return m
 
     @staticmethod
@@ -120,7 +120,7 @@ class Matrix:
                           [[-a for a in r] for r in self.data])
 
     def scale(self, c):
-        c = rat(c)
+        c = _demote(rat(c))
         return Matrix._of(self.rows, self.cols,
                           [[c * a for a in r] for r in self.data])
 

@@ -347,6 +347,12 @@ GOLDEN_TWISTED = [
      "CHECK cocycle_left_valid: PASS\n"
      "CHECK cocycle_right_valid: FAIL violated "
      "['ii', 'iv', 'omega1_definition', 'v', 'vi']\n"),
+    # an invalid left cocycle does not hide the report on the right one
+    (["compare", "--left", "omega0,bad_alpha,phimap",
+      "--right", "omega0,alpha,phimap"], 1,
+     "CHECK cocycle_left_valid: FAIL violated "
+     "['ii', 'iv', 'omega1_definition', 'v', 'vi']\n"
+     "CHECK cocycle_right_valid: PASS\n"),
 ]
 
 

@@ -361,6 +361,20 @@ def test_cochain_evaluation_refuses_wrong_lengths():
             c.evaluate(xi, z)
 
 
+def test_cochain_refuses_a_wrong_number_of_values():
+    """A cochain built with fewer or more values than its space holds is a
+    ValueError, which python -O keeps, not a short cochain whose
+    evaluation fails later with an IndexError."""
+    ctx = load_problem(os.path.join(ROOT, "tests/fixtures/adjoint_aff1.json")
+                       ).context()
+    assert ctx.cochain_dim(0, 1, 1) == 8
+    for values in ([1, 2], list(range(9))):
+        with pytest.raises(ValueError,
+                           match=r"C\^\{0,1,1\} has 8 values, got %d"
+                           % len(values)):
+            LatticeCochain(ctx, 0, 1, 1, values)
+
+
 def test_context_refuses_a_rep_over_another_crossed_module():
     """The 2-representation must be over the crossed module it is given
     with."""

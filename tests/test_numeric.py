@@ -25,6 +25,21 @@ def test_rat_parsing():
     assert rat("-5") == Fraction(-5)
 
 
+def test_scale_and_identity_keep_integral_values_as_ints():
+    """Integral values stay ints: scaling an integral matrix by an int, an
+    integral Fraction or a string, and the identity, hold only ints; a
+    proper fraction still scales exactly."""
+    m = Matrix(1, 2, [[1, 2]])
+    for c in (-1, Fraction(3), "2"):
+        for scaled in (m.scale(c), m * c):
+            assert [type(x) for x in scaled.data[0]] == [int, int], c
+            assert scaled.data == [[rat(c), 2 * rat(c)]]
+    assert m.scale(Fraction(1, 2)).data == [[Fraction(1, 2), 1]]
+    eye = Matrix.identity(3)
+    assert eye.data == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert all(type(x) is int for row in eye.data for x in row)
+
+
 def test_rank_identity_and_zero():
     r, basis = rank_and_kernel(Matrix.identity(3))
     assert r == 3 and basis == []
